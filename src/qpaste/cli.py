@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import files
@@ -17,7 +18,7 @@ from .catalog import builtin, hamming_class, perfect
 from .kl import DEFAULT_QUBIT_CAP, CapExceededError, kl_check
 from .pasting import PasteError, PasteVerificationError, augment, paste
 from .pauli import PauliParseError, format_pauli
-from .stabilizer import InvalidCodeError, syndrome, validate
+from .stabilizer import InvalidCodeError, validate
 from .verification import (
     best_k,
     distance,
@@ -168,8 +169,10 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
         )
         return EXIT_PRECONDITION
     code = padded.base
-    for e in enumerate_errors(code.n, 1).members:
-        print(f"{format_pauli(e)} {syndrome(code, e)}")
+    keys = chain([0], *code.syndrome_table)
+    for e, key in zip(enumerate_errors(code.n, 1).members, keys):
+        bits = "".join(str((key >> j) & 1) for j in range(code.a))
+        print(f"{format_pauli(e)} {bits}")
     return EXIT_OK
 
 

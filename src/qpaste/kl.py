@@ -8,19 +8,21 @@ indices, never as a dense matrix.
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; the default cap keeps state vectors at or
-below 2^10 entries.
+below 2^10 entries.  numpy is imported by the functions that use it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pauli import PauliOperator
 from .stabilizer import InvalidCodeError, StabilizerCode, validate
 from .verification import ErrorSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_QUBIT_CAP = 10
 _DISCARD_NORM = 1e-8
@@ -36,6 +38,8 @@ def _signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarray, np.ndar
     P|b> = sign * (-1)^{popcount(b & z)} |b ^ x>, so the amplitude at c is
     pulled from b = c ^ x with the phase evaluated at b.
     """
+    import numpy as np
+
     idx = np.arange(dim)
     src = idx ^ p.x
     parity = np.bitwise_count(src & p.z) & 1
@@ -66,6 +70,8 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
     vector in index order; surviving directions are orthonormalized by
     modified Gram-Schmidt, discarding residuals below norm 1e-8.
     """
+    import numpy as np
+
     if code.n > n_cap:
         raise CapExceededError(
             f"n={code.n} exceeds the dense-statevector cap ({n_cap} qubits)"
@@ -128,6 +134,8 @@ def kl_check(
     average.  When the diagonal blocks are not constant the report simply
     fails with the raw deviation.
     """
+    import numpy as np
+
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     members = tuple(errors.members if isinstance(errors, ErrorSet) else errors)

@@ -17,11 +17,12 @@ look like an error on the original qubits alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from . import gf2
 from .pauli import PauliOperator, identity, tensor
-from .stabilizer import StabilizerCode, contains, pack_symplectic, validate
+from .stabilizer import StabilizerCode, _pack, contains, validate
 from .verification import verify_distance3
 
 CHECK_LARGER_VALID = "larger_valid"
@@ -56,8 +57,11 @@ class PaddedCode:
         self.rows = rows
         self.placeholder_flags = tuple(r.x == 0 and r.z == 0 for r in rows)
         self.pad_count = sum(self.placeholder_flags)
-        self.base = StabilizerCode(
-            [r for r, flag in zip(rows, self.placeholder_flags) if not flag], n=n
+
+    @cached_property
+    def base(self) -> StabilizerCode:
+        return StabilizerCode(
+            [r for r, flag in zip(self.rows, self.placeholder_flags) if not flag], n=self.n
         )
 
     @property
@@ -83,7 +87,11 @@ PasteInput = Union[StabilizerCode, PaddedCode]
 def _as_padded(code: PasteInput) -> PaddedCode:
     if isinstance(code, PaddedCode):
         return code
-    return PaddedCode(code.generators, code.n)
+    padded = PaddedCode(code.generators, code.n)
+    if not padded.pad_count:
+        # The code itself, so the checks cached on it are not redone.
+        padded.base = code
+    return padded
 
 
 def augment(code: PasteInput, count: int, where: str = "append") -> PaddedCode:
@@ -119,10 +127,10 @@ def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:
         return None
     if code.a >= 2 and code.generators[0] == x_row and code.generators[1] == z_row:
         return code
-    elim = gf2.Eliminator(2 * n, [pack_symplectic(x_row), pack_symplectic(z_row)])
+    elim = gf2.Eliminator(2 * n, [_pack(x_row), _pack(z_row)])
     new_gens = [x_row, z_row]
     for g in code.generators:
-        if elim.add(pack_symplectic(g)):
+        if elim.add(_pack(g)):
             new_gens.append(g)
     return StabilizerCode(new_gens, n)
 

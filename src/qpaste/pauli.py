@@ -17,6 +17,10 @@ from dataclasses import dataclass
 _FACTOR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_FACTOR = {bits: ch for ch, bits in _FACTOR_BITS.items()}
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
+_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
+_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
+# Base-4 digit x + 2z of one qubit, see format_pauli.
+_DIGIT_FACTORS = str.maketrans("0123", "IXZY")
 
 
 class PauliParseError(ValueError):
@@ -68,20 +72,24 @@ def parse_pauli(text: str) -> PauliOperator:
         body = body[1:]
     if not body:
         raise PauliParseError("empty Pauli string")
-    x = 0
-    z = 0
-    for i, ch in enumerate(body):
-        bits = _FACTOR_BITS.get(ch)
-        if bits is None:
-            raise PauliParseError(f"invalid character {ch!r} at position {i + 1}")
-        x |= bits[0] << i
-        z |= bits[1] << i
+    if body.strip("IXYZ"):
+        for i, ch in enumerate(body):
+            if ch not in _FACTOR_BITS:
+                raise PauliParseError(f"invalid character {ch!r} at position {i + 1}")
+    # Reversed, the text reads most significant qubit first, as int() wants.
+    reverse = body[::-1].encode()
+    x = int(reverse.translate(_X_DIGITS), 2)
+    z = int(reverse.translate(_Z_DIGITS), 2)
     return PauliOperator(len(body), x, z, sign)
 
 
 def format_pauli(p: PauliOperator) -> str:
     """Render an operator as text; the sign is printed only when -1."""
-    body = "".join(p.factor(q) for q in range(1, p.n + 1))
+    # Read as hex, the binary text of x puts bit i in hex digit i, so
+    # x + 2z has the digit x_i + 2 z_i (0..3, no carry) at qubit i.
+    width = f"0{p.n}b"
+    digits = int(format(p.x, width), 16) + 2 * int(format(p.z, width), 16)
+    body = format(digits, f"0{p.n}x")[::-1].translate(_DIGIT_FACTORS)
     return body if p.sign > 0 else "-" + body
 
 

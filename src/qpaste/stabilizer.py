@@ -10,7 +10,8 @@ group-level comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from . import gf2
 from .pauli import PauliOperator, commutes, identity, multiply, y_count
@@ -30,13 +31,32 @@ def _pack(p: PauliOperator) -> int:
     return p.x | (p.z << p.n)
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Columns of a bit matrix: bit j of column i is bit i of ``rows[j]``.
+
+    A row's binary text, read as a big-endian int, holds ASCII "0" or "1"
+    in byte i for bit i; less the same int for "00...0" it holds 0 or 1.
+    Eight such rows shifted by 0..7 add without carries into one int
+    whose byte i is column i.
+    """
+    zeros = int.from_bytes(b"0" * width, "big")
+    columns = [0] * width
+    for start in range(0, len(rows), 8):
+        acc = 0
+        for j, row in enumerate(rows[start : start + 8]):
+            acc |= (int.from_bytes(format(row, f"0{width}b").encode(), "big") - zeros) << j
+        columns = [c | (b << start) for c, b in zip(columns, acc.to_bytes(width, "little"))]
+    return columns
+
+
 class StabilizerCode:
     """Ordered generator list over a fixed qubit count.
 
     Construction checks only shape (equal lengths, +1 signs); the group
     invariants are checked by :func:`validate` so that broken inputs can be
     reported rather than refused.  Instances are immutable; the GF(2)
-    elimination cache used for membership tests is built eagerly.
+    elimination cache used for membership tests is built eagerly, the
+    validation report and the syndrome table on first use.
     """
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
@@ -57,6 +77,24 @@ class StabilizerCode:
     @property
     def a(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def syndrome_table(self) -> tuple[tuple[int, int, int], ...]:
+        """Weight-1 syndromes ``(s_X, s_Y, s_Z)`` of each qubit, as ints.
+
+        Generator j is bit j, the bit order of :meth:`Syndrome.as_int`.  X on
+        qubit i anticommutes with the generators whose z part has bit i, Z
+        with those whose x part has it, and Y = X.Z with exactly one of the
+        two, so the table is the transposed generator matrix.
+        """
+        n = self.n
+        columns = _transpose([_pack(g) for g in self.generators], 2 * n)
+        x_part, z_part = columns[:n], columns[n:]
+        return tuple([(sz, sx ^ sz, sx) for sx, sz in zip(x_part, z_part)])
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        return _check_invariants(self)
 
     def __eq__(self, other) -> bool:
         """Bit-exact equality: same qubit count and same ordered rows."""
@@ -134,7 +172,12 @@ def validate(code: StabilizerCode) -> ValidationReport:
 
     Returns a report rather than raising, so invalid inputs can be
     diagnosed; violations name the offending generator rows (1-based).
+    The report is computed once per code object.
     """
+    return code._validation
+
+
+def _check_invariants(code: StabilizerCode) -> ValidationReport:
     violations: list[Violation] = []
     gens = code.generators
     for i, g in enumerate(gens, start=1):
@@ -228,8 +271,3 @@ def group_equal(first: StabilizerCode, second: StabilizerCode) -> bool:
     if first.n != second.n:
         return False
     return canonical_generators(first) == canonical_generators(second)
-
-
-def pack_symplectic(p: PauliOperator) -> int:
-    """Public packing helper for callers doing their own GF(2) work."""
-    return _pack(p)

@@ -10,20 +10,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator
 
-from .pauli import PauliOperator, adjoint, identity, multiply
-from .stabilizer import (
-    InvalidCodeError,
-    StabilizerCode,
-    contains,
-    syndrome,
-    validate,
-)
+from .pauli import _FACTOR_BITS, PauliOperator, adjoint, identity, multiply
+from .stabilizer import InvalidCodeError, StabilizerCode, contains, validate
 
-_FACTORS = ("X", "Y", "Z")
-_FACTOR_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
+_XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
+
+
+def _operator(n: int, positions: tuple[int, ...], factors: tuple[int, ...]) -> PauliOperator:
+    """The sign-+1 product with factor index ``factors[k]`` on qubit ``positions[k]``."""
+    x = 0
+    z = 0
+    for pos, f in zip(positions, factors):
+        xb, zb = _XYZ_BITS[f]
+        x |= xb << pos
+        z |= zb << pos
+    return PauliOperator(n, x, z, 1)
 
 
 def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
@@ -32,14 +37,8 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
         yield identity(n)
         return
     for positions in combinations(range(n), w):
-        for factors in product(_FACTORS, repeat=w):
-            x = 0
-            z = 0
-            for pos, f in zip(positions, factors):
-                xb, zb = _FACTOR_XZ[f]
-                x |= xb << pos
-                z |= zb << pos
-            yield PauliOperator(n, x, z, 1)
+        for factors in product(range(3), repeat=w):
+            yield _operator(n, positions, factors)
 
 
 @dataclass(frozen=True)
@@ -90,28 +89,44 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     """Check that all 3n+1 weight-<=1 errors have distinct syndromes.
 
     With ``allow_degenerate`` a colliding pair (E, F) is excused when
-    adjoint(E).F lies in the group (the two errors then act identically on
-    the codespace); any excusal marks the code as degenerate.
+    adjoint(E).F lies in the group up to sign (the two errors then act
+    identically on the codespace, up to a global sign); any excusal marks
+    the code as degenerate.  Syndromes are read off ``code.syndrome_table``.
     """
     report = validate(code)
     if not report.ok:
         raise InvalidCodeError(report)
-    errors = enumerate_errors(code.n, 1).members
-    seen: dict[int, PauliOperator] = {}
+    n = code.n
+    # Error index 0 is the identity, 3i + f + 1 is factor f on qubit i:
+    # the canonical order of enumerate_errors(n, 1).
+    keys = [0, *chain.from_iterable(code.syndrome_table)]
+    if len(set(keys)) == len(keys):
+        return DistanceReport(True, False, len(keys), len(keys), None, ())
+    seen: dict[int, int] = {}
     excused: list[tuple[PauliOperator, PauliOperator]] = []
-    for e in errors:
-        key = syndrome(code, e).as_int()
-        first = seen.get(key)
-        if first is None:
-            seen[key] = e
+    for index, key in enumerate(keys):
+        first = seen.setdefault(key, index)
+        if first == index:
             continue
-        if allow_degenerate and contains(code, multiply(adjoint(first), e)):
-            excused.append((first, e))
+        pair = (_weight1_error(n, first), _weight1_error(n, index))
+        if allow_degenerate and _in_signed_group(code, multiply(adjoint(pair[0]), pair[1])):
+            excused.append(pair)
             continue
-        return DistanceReport(
-            False, bool(excused), len(seen), len(errors), (first, e), tuple(excused)
-        )
-    return DistanceReport(True, bool(excused), len(seen), len(errors), None, tuple(excused))
+        return DistanceReport(False, bool(excused), len(seen), len(keys), pair, tuple(excused))
+    return DistanceReport(True, bool(excused), len(seen), len(keys), None, tuple(excused))
+
+
+def _weight1_error(n: int, index: int) -> PauliOperator:
+    """Error ``index`` of enumerate_errors(n, 1)."""
+    if index == 0:
+        return identity(n)
+    qubit, factor = divmod(index - 1, 3)
+    return _operator(n, (qubit,), (factor,))
+
+
+def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
+    """Whether p or -p is in the group; either acts as a scalar on the codespace."""
+    return contains(code, p) or contains(code, PauliOperator(p.n, p.x, p.z, -p.sign))
 
 
 def distance(code: StabilizerCode, max_weight: int) -> int | None:
@@ -120,18 +135,35 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
     Searches weights 1..max_weight; returns None when no such operator
     exists in that range.  Both sign assignments of each candidate are
     checked against the group, since membership is sign-sensitive.
+
+    Candidates are scanned in canonical order; the syndrome of one is the
+    XOR of its qubits' entries in ``code.syndrome_table``, and it is zero
+    exactly when the XOR over all but the last qubit equals the last
+    qubit's entry.
     """
     report = validate(code)
     if not report.ok:
         raise InvalidCodeError(report)
-    if max_weight > code.n:
-        raise ValueError(f"max weight {max_weight} exceeds qubit count {code.n}")
+    n = code.n
+    if max_weight > n:
+        raise ValueError(f"max weight {max_weight} exceeds qubit count {n}")
+    table = code.syndrome_table
     for w in range(1, max_weight + 1):
-        for p in iter_weight_errors(code.n, w):
-            if syndrome(code, p).is_zero:
-                negated = PauliOperator(p.n, p.x, p.z, -1)
-                if not contains(code, p) and not contains(code, negated):
-                    return w
+        for head in combinations(range(n), w - 1):
+            # Syndromes of the 3^(w-1) factor choices on ``head``, in product order.
+            head_syndromes = [0]
+            for i in head:
+                head_syndromes = [s ^ t for s in head_syndromes for t in table[i]]
+            head_set = set(head_syndromes)
+            for last in range(head[-1] + 1 if head else 0, n):
+                if head_set.isdisjoint(table[last]):
+                    continue
+                for factors, s in zip(product(range(3), repeat=w - 1), head_syndromes):
+                    for f, t in enumerate(table[last]):
+                        if s == t:
+                            p = _operator(n, head + (last,), factors + (f,))
+                            if not _in_signed_group(code, p):
+                                return w
     return None
 
 

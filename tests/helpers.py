@@ -9,13 +9,15 @@ elimination.  They exist to cross-check the fast implementation.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
-from qpaste.pauli import PauliOperator, commutes
-from qpaste.stabilizer import StabilizerCode
+from qpaste.pauli import PauliOperator, adjoint, commutes, multiply, parse_pauli
+from qpaste.stabilizer import StabilizerCode, contains, syndrome
 from qpaste.pasting import PaddedCode, augment
+from qpaste.verification import DistanceReport, enumerate_errors
 from qpaste import gf2
 
 MAT = {
@@ -191,3 +193,79 @@ def paste_sample(rng: random.Random, index: int) -> tuple[PaddedCode, object]:
         larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1, "append")
         smaller = augment(shuffled_qubits(rng, builtin("code5")), 1, "prepend")
     return larger, smaller
+
+
+def shor_code9() -> StabilizerCode:
+    """Shor's [[9,1,3]] code, degenerate: Z errors within a block collide."""
+    rows = (
+        "ZZIIIIIII",
+        "IZZIIIIII",
+        "IIIZZIIII",
+        "IIIIZZIII",
+        "IIIIIIZZI",
+        "IIIIIIIZZ",
+        "XXXXXXIII",
+        "IIIXXXXXX",
+    )
+    return StabilizerCode([parse_pauli(r) for r in rows])
+
+
+def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
+    negated = PauliOperator(p.n, p.x, p.z, -p.sign)
+    return contains(code, p) or contains(code, negated)
+
+
+def reference_syndrome_table(code: StabilizerCode) -> list[tuple[int, int, int]]:
+    """Per-qubit (X, Y, Z) syndromes from one syndrome() call per error."""
+    errors = enumerate_errors(code.n, 1).members[1:]
+    keys = [syndrome(code, e).as_int() for e in errors]
+    return [tuple(keys[3 * i : 3 * i + 3]) for i in range(code.n)]
+
+
+def reference_verify_distance3(code: StabilizerCode, allow_degenerate: bool) -> DistanceReport:
+    """verify_distance3 with one syndrome() call per error, in enumeration order.
+
+    A collision is excused when adjoint(E).F lies in the group up to sign.
+    """
+    errors = enumerate_errors(code.n, 1).members
+    seen: dict[int, PauliOperator] = {}
+    excused = []
+    for e in errors:
+        key = syndrome(code, e).as_int()
+        first = seen.get(key)
+        if first is None:
+            seen[key] = e
+            continue
+        if allow_degenerate and _in_signed_group(code, multiply(adjoint(first), e)):
+            excused.append((first, e))
+            continue
+        return DistanceReport(
+            False, bool(excused), len(seen), len(errors), (first, e), tuple(excused)
+        )
+    return DistanceReport(True, bool(excused), len(seen), len(errors), None, tuple(excused))
+
+
+def reference_distance(code: StabilizerCode, max_weight: int) -> int | None:
+    """Brute-force distance over weights 1..max_weight.
+
+    Single-qubit syndromes come from syndrome(); a candidate's syndrome is
+    their XOR (syndrome() is linear, see test_stabilizer), which keeps the
+    n = 341 search within a second or two.
+    """
+    n = code.n
+    table = reference_syndrome_table(code)
+    for w in range(1, max_weight + 1):
+        for positions in combinations(range(n), w):
+            for factors in product(range(3), repeat=w):
+                s = 0
+                for q, f in zip(positions, factors):
+                    s ^= table[q][f]
+                if s:
+                    continue
+                x = z = 0
+                for q, f in zip(positions, factors):
+                    x |= (f < 2) << q
+                    z |= (f > 0) << q
+                if not _in_signed_group(code, PauliOperator(n, x, z, 1)):
+                    return w
+    return None

@@ -225,3 +225,25 @@ def test_pipe_family_perfect_into_verify():
     assert "n=21 a=6 k=15" in check.stdout
     assert "perfect" in check.stdout
     assert "result: pass" in check.stdout
+
+
+def test_verify_excuses_collisions_in_minus_group(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("XX\nZZ\n"))
+    assert main(["verify", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "distance3: pass (4/7 distinct syndromes, degenerate, 3 excused pair(s))" in out
+    assert "result: pass" in out
+
+
+def test_non_kl_commands_do_not_import_numpy():
+    probe = (
+        "import sys, qpaste, qpaste.cli; "
+        "assert qpaste.cli.main(['bound', '13']) == 0; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from qpaste.catalog import builtin
 from qpaste.kl import CapExceededError, apply_pauli, codewords, kl_check
-from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli
+from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors, verify_distance3
 
@@ -119,3 +119,22 @@ def test_kl_agrees_with_syndrome_route():
     for code in codes:
         kl = kl_check(code, enumerate_errors(code.n, 1))
         assert (kl.passed and kl.full_rank) == verify_distance3(code).ok
+
+
+@pytest.mark.parametrize("beside_code5", [False, True])
+def test_minus_group_excusal_agrees_with_kl(beside_code5):
+    # adjoint(YI).IY = -YY lies in -S: YI and IY act alike on the codespace.
+    code = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
+    if beside_code5:
+        five = builtin("code5")
+        rows = [tensor(g, identity(2)) for g in five.generators]
+        rows += [tensor(identity(5), g) for g in code.generators]
+        code = StabilizerCode(rows)
+    kl = kl_check(code, enumerate_errors(code.n, 1))
+    assert kl.passed and not kl.full_rank
+    report = verify_distance3(code, allow_degenerate=True)
+    assert report.ok and report.degenerate and report.witness is None
+    pad = "IIIII" if beside_code5 else ""
+    pairs = [(format_pauli(e), format_pauli(f)) for e, f in report.degenerate_pairs]
+    assert pairs == [(pad + a, pad + b) for a, b in (("XI", "IX"), ("YI", "IY"), ("ZI", "IZ"))]
+    assert not verify_distance3(code).ok

@@ -47,6 +47,25 @@ def test_parse_errors():
         parse_pauli("-")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("X_X", 2), (" XZ", 1), ("XZ\n", 3), ("Xb0", 2), ("X\u0661", 2), ("IIIIIIII0", 9)],
+)
+def test_parse_rejects_what_int_would_accept(text, position):
+    with pytest.raises(PauliParseError, match=f"position {position}$"):
+        parse_pauli(text)
+
+
+def test_text_codec_matches_per_qubit_factors():
+    rng = random.Random(11)
+    for n in (1, 2, 7, 64, 65, 1365, 2000):
+        p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
+        body = "".join(p.factor(q) for q in range(1, n + 1))
+        text = body if p.sign > 0 else "-" + body
+        assert format_pauli(p) == text
+        assert parse_pauli(text) == p
+
+
 def test_format_examples():
     assert format_pauli(identity(3)) == "III"
     assert format_pauli(PauliOperator(5, 0b00011, 0b10100, 1)) == "XXZIZ"
