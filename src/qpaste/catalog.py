@@ -8,19 +8,20 @@ bit-exactly, row order included.
 
 Every catalog or constructed code is checked at build time (validation,
 weight-1 syndrome distinctness, expected parameters) and construction
-fails loudly if anything is off.
+fails loudly if anything is off.  Built codes are memoised with
+``functools.cache``, so equal arguments return the same object.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .pauli import PauliOperator, parse_pauli
 from .stabilizer import StabilizerCode, validate
 from .pasting import paste
-from .verification import hamming_bound, BoundStatus, verify_distance3
+from .verification import is_perfect, perfect_length, verify_distance3
 
 _CODE5_ROWS = (
     "XXZIZ",
@@ -66,10 +67,6 @@ _PRIMITIVE_POLY = {
     12: 0b1000001010011,
 }
 
-_cache: dict[object, StabilizerCode] = {}
-_cache_lock = threading.Lock()
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -97,19 +94,19 @@ def _checked(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCo
 
 def builtin(name: str) -> StabilizerCode:
     """One of the shipped codes: "code5", "code8" or "code13"."""
+    # functools.cache keys on the call's form, so builtin(name="code5") and
+    # builtin("code5") meet on one entry only through a positional call.
+    return _builtin(name)
+
+
+@cache
+def _builtin(name: str) -> StabilizerCode:
     rows = _BUILTIN_ROWS.get(name)
     if rows is None:
         known = ", ".join(sorted(_BUILTIN_ROWS))
         raise ValueError(f"unknown catalog code {name!r} (known: {known})")
-    with _cache_lock:
-        code = _cache.get(name)
-        if code is None:
-            n, a = _BUILTIN_PARAMS[name]
-            code = _checked(
-                StabilizerCode([parse_pauli(r) for r in rows]), n, a, name
-            )
-            _cache[name] = code
-        return code
+    n, a = _BUILTIN_PARAMS[name]
+    return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
 
 
 def _multiply_by_x(value: int, m: int, poly: int) -> int:
@@ -155,19 +152,24 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
     polynomial of degree m; pass ``mixer`` (m row bitmasks) to use another
     matrix.  For m = 3 with the default mixer the builtin 8-qubit code is
     returned so the pasted 13-qubit reproduction stays anchored to it.
+    Default-mixer members are memoised; custom-mixer ones are built anew.
     """
     if m < 3:
         raise ValueError(f"m={m} rejected: k = n - m - 2 would not be positive")
-    if m == 3 and mixer is None:
+    if mixer is None:
+        return _default_hamming_class(m)
+    return _build_hamming_class(m, _mixer_images(m, mixer))
+
+
+@cache
+def _default_hamming_class(m: int) -> StabilizerCode:
+    if m == 3:
         return builtin("code8")
-    key = ("hamming", m) if mixer is None else None
-    if key is not None:
-        with _cache_lock:
-            cached = _cache.get(key)
-        if cached is not None:
-            return cached
+    return _build_hamming_class(m, _mixer_images(m, None))
+
+
+def _build_hamming_class(m: int, images: list[int]) -> StabilizerCode:
     n = 1 << m
-    images = _mixer_images(m, mixer)
     if len(set(images)) != n or len({v ^ img for v, img in enumerate(images)}) != n:
         raise ValueError(
             "mixer rejected: the matrix and its successor (L and L+I) must "
@@ -182,11 +184,7 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
             z_bits |= ((v >> r) & 1) << v
             x_bits |= ((images[v] >> r) & 1) << v
         gens.append(PauliOperator(n, x_bits, z_bits, 1))
-    code = _checked(StabilizerCode(gens), n, m + 2, f"hamming_class({m})")
-    if key is not None:
-        with _cache_lock:
-            code = _cache.setdefault(key, code)
-    return code
+    return _checked(StabilizerCode(gens), n, m + 2, f"hamming_class({m})")
 
 
 def perfect(j: int, j_max: int = 4) -> StabilizerCode:
@@ -194,29 +192,26 @@ def perfect(j: int, j_max: int = 4) -> StabilizerCode:
 
     perfect(1) is the 5-qubit code; each later one pastes the previous
     perfect code onto the 2^(2j)-qubit member of the constructed family
-    (generator counts align with no padding).  ``j_max`` bounds the
-    recursion depth; the default keeps n at or below 341.
+    (generator counts align with no padding).  ``j_max`` is a range check
+    only; the default keeps n at or below 341.
     """
     if j < 1:
         raise ValueError("perfect codes are indexed from 1")
     if j > j_max:
         raise ValueError(f"j={j} exceeds the configured maximum {j_max}")
-    key = ("perfect", j)
-    with _cache_lock:
-        cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    return _perfect(j)
+
+
+@cache
+def _perfect(j: int) -> StabilizerCode:
     if j == 1:
         code = builtin("code5")
     else:
-        code = paste(hamming_class(2 * j), perfect(j - 1, j_max=j_max))
-    n = (4 ** (j + 1) - 1) // 3
-    a = 2 * j + 2
-    code = _checked(code, n, a, f"perfect({j})")
-    if hamming_bound(n, n - a) is not BoundStatus.SATURATED:
+        code = paste(hamming_class(2 * j), _perfect(j - 1))
+    n = perfect_length(j)
+    code = _checked(code, n, 2 * j + 2, f"perfect({j})")
+    if not is_perfect(n, n - code.a):
         raise RuntimeError(f"perfect({j}) does not saturate the bound")
-    with _cache_lock:
-        code = _cache.setdefault(key, code)
     return code
 
 

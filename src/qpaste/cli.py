@@ -15,16 +15,16 @@ from pathlib import Path
 
 from . import files
 from .catalog import builtin, hamming_class, perfect
-from .kl import DEFAULT_QUBIT_CAP, CapExceededError, kl_check
+from .kl import kl_check
 from .pasting import PasteError, PasteVerificationError, augment, paste
 from .pauli import PauliParseError, format_pauli
-from .stabilizer import InvalidCodeError, validate
+from .stabilizer import validate
 from .verification import (
+    BoundStatus,
     best_k,
     distance,
     enumerate_errors,
     hamming_bound,
-    is_perfect,
     verify_distance3,
 )
 
@@ -49,6 +49,10 @@ def _write_text(path: str, text: str) -> None:
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+def _perfect_tag(status: BoundStatus) -> str:
+    return "perfect" if status is BoundStatus.SATURATED else "not perfect"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -89,20 +93,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         e, f = d3.witness
         print(f"distance3: FAIL (collision between {e} and {f})")
     status = hamming_bound(code.n, k)
-    tag = "perfect" if is_perfect(code.n, k) else "not perfect"
-    bk = best_k(code.n)
-    print(f"bound: {status} (best_k={bk}, {tag})")
+    print(f"bound: {status} (best_k={best_k(code.n)}, {_perfect_tag(status)})")
     if args.distance is not None:
         found = distance(code, args.distance)
         shown = found if found is not None else "none"
         print(f"distance: {shown} (searched weight <= {args.distance})")
     if args.kl:
-        if code.n > DEFAULT_QUBIT_CAP:
-            _fail(
-                f"kl check refused: n={code.n} exceeds the dense-statevector "
-                f"cap ({DEFAULT_QUBIT_CAP} qubits)"
-            )
-            return EXIT_PRECONDITION
         kl = kl_check(code, enumerate_errors(code.n, 1))
         verdict = "pass" if kl.passed and kl.full_rank else "FAIL"
         size = kl.c_matrix.shape[0]
@@ -149,11 +145,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         if k is None:
             print(f"best k = none (no k satisfies the bound for n={n})")
         else:
-            tag = "perfect" if is_perfect(n, k) else "not perfect"
-            print(f"best k = {k} ({tag})")
+            print(f"best k = {k} ({_perfect_tag(hamming_bound(n, k))})")
         return EXIT_OK
     status = hamming_bound(n, args.k)
-    tag = "perfect" if is_perfect(n, args.k) else "not perfect"
+    tag = _perfect_tag(status)
     lhs = (3 * n + 1) << args.k
     rhs = 1 << n
     print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
@@ -258,10 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (files.StabilizerFileError, PauliParseError) as exc:
-        _fail(str(exc))
-        return EXIT_IO
-    except OSError as exc:
+    except (files.StabilizerFileError, PauliParseError, OSError) as exc:
         _fail(str(exc))
         return EXIT_IO
     except PasteError as exc:
@@ -272,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except PasteVerificationError as exc:
         _fail(f"internal: {exc}")
         return EXIT_PRECONDITION
-    except (CapExceededError, InvalidCodeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
         return EXIT_PRECONDITION
 

@@ -74,7 +74,8 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
 
     if code.n > n_cap:
         raise CapExceededError(
-            f"n={code.n} exceeds the dense-statevector cap ({n_cap} qubits)"
+            f"kl check refused: n={code.n} exceeds the dense-statevector cap "
+            f"({n_cap} qubits)"
         )
     report = validate(code)
     if not report.ok:

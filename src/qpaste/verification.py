@@ -132,8 +132,8 @@ def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
 def distance(code: StabilizerCode, max_weight: int) -> int | None:
     """Smallest weight of an operator commuting with the group but outside it.
 
-    Searches weights 1..max_weight; returns None when no such operator
-    exists in that range.  Both sign assignments of each candidate are
+    Searches weights 1..max_weight, with 1 <= max_weight <= n; returns None
+    when no such operator exists in that range.  Both sign assignments of each candidate are
     checked against the group, since membership is sign-sensitive.
 
     Candidates are scanned in canonical order; the syndrome of one is the
@@ -147,6 +147,8 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
     n = code.n
     if max_weight > n:
         raise ValueError(f"max weight {max_weight} exceeds qubit count {n}")
+    if max_weight < 1:
+        raise ValueError(f"max weight {max_weight} out of range 1..{n}")
     table = code.syndrome_table
     for w in range(1, max_weight + 1):
         for head in combinations(range(n), w - 1):
@@ -202,14 +204,10 @@ def best_k(n: int) -> int | None:
     """Largest k with (3n+1) * 2^k <= 2^n, or None when even k=0 fails."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    lhs = 3 * n + 1
-    rhs = 1 << n
-    if lhs > rhs:
-        return None
-    k = 0
-    while (lhs << (k + 1)) <= rhs:
-        k += 1
-    return k
+    # 2^k <= 2^n / (3n+1) exactly when k <= n - ceil(log2(3n+1)), and
+    # ceil(log2(x)) is (x-1).bit_length() for x >= 1.
+    k = n - (3 * n).bit_length()
+    return k if k >= 0 else None
 
 
 def perfect_length(j: int) -> int:

@@ -269,3 +269,15 @@ def reference_distance(code: StabilizerCode, max_weight: int) -> int | None:
                 if not _in_signed_group(code, PauliOperator(n, x, z, 1)):
                     return w
     return None
+
+
+def reference_best_k(n: int) -> int | None:
+    """Largest k with (3n+1) * 2^k <= 2^n by doubling, or None when k=0 fails."""
+    lhs = 3 * n + 1
+    rhs = 1 << n
+    if lhs > rhs:
+        return None
+    k = 0
+    while (lhs << (k + 1)) <= rhs:
+        k += 1
+    return k

@@ -1,7 +1,9 @@
 import random
+import threading
 
 import pytest
 
+from qpaste import catalog
 from qpaste.catalog import builtin, entries, hamming_class, perfect
 from qpaste.pauli import format_pauli
 from qpaste.pasting import locate_xz_generators
@@ -140,3 +142,35 @@ def test_entries():
     assert by_name["code13"].provenance == "pasted"
     assert by_name["code5"].provenance == "builtin"
     assert all(e.k == e.n - e.a for e in listed)
+
+
+def test_equal_arguments_return_the_same_object():
+    for j in range(1, 5):
+        assert perfect(j, j_max=5) is perfect(j)
+    assert builtin(name="code5") is builtin("code5")
+    assert hamming_class(m=4) is hamming_class(4)
+
+
+def _clear_catalog_caches():
+    for memo in (catalog._builtin, catalog._default_hamming_class, catalog._perfect):
+        memo.cache_clear()
+
+
+def test_threads_racing_a_first_build_get_equal_codes():
+    _clear_catalog_caches()
+    expected = perfect(3)
+    _clear_catalog_caches()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def build(slot):
+        start.wait()
+        results[slot] = perfect(3)
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(code == expected for code in results)
+    assert perfect(3) is perfect(3)

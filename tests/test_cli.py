@@ -47,6 +47,21 @@ def test_verify_kl_refused_above_cap(stab_files, capsys):
     assert "cap" in err and "error:" in err
 
 
+def test_verify_kl_refusal_text(stab_files, capsys):
+    assert main(["verify", stab_files["code13"], "--kl"]) == 2
+    assert capsys.readouterr().err == (
+        "error: kl check refused: n=13 exceeds the dense-statevector cap (10 qubits)\n"
+    )
+
+
+@pytest.mark.parametrize("weight", ["0", "-1"])
+def test_verify_distance_below_one_refused(stab_files, capsys, weight):
+    assert main(["verify", stab_files["code5"], "--distance", weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: max weight {weight} out of range 1..5\n"
+    assert "distance:" not in captured.out
+
+
 def test_verify_invalid_code(tmp_path, capsys):
     bad = tmp_path / "bad.stab"
     bad.write_text("XX\nXX\n")

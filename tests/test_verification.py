@@ -16,7 +16,7 @@ from qpaste.verification import (
     verify_distance3,
 )
 
-from helpers import char_syndrome, degenerate_code6, np_in_span
+from helpers import char_syndrome, degenerate_code6, np_in_span, reference_best_k
 
 
 def from_strings(*rows):
@@ -189,3 +189,15 @@ def test_bound_range_checks():
         hamming_bound(5, -1)
     with pytest.raises(ValueError):
         best_k(0)
+
+
+def test_best_k_closed_form_matches_doubling_loop():
+    for n in range(1, 4097):
+        assert best_k(n) == reference_best_k(n), n
+
+
+def test_distance_rejects_weight_below_one():
+    code = builtin("code5")
+    for w in (0, -1):
+        with pytest.raises(ValueError, match=r"1\.\.5"):
+            distance(code, w)
