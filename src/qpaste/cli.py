@@ -12,12 +12,13 @@ import argparse
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from . import files
 from .catalog import builtin, hamming_class, perfect
 from .kl import kl_check
 from .pasting import PasteError, PasteVerificationError, augment, paste
-from .pauli import PauliParseError, format_pauli
+from .pauli import PauliOperator, PauliParseError, format_pauli
 from .stabilizer import validate
 from .verification import (
     BoundStatus,
@@ -53,6 +54,11 @@ def _fail(message: str) -> None:
 
 def _perfect_tag(status: BoundStatus) -> str:
     return "perfect" if status is BoundStatus.SATURATED else "not perfect"
+
+
+def _one_error_set(n: int) -> Iterator[PauliOperator]:
+    """The weight <= 1 errors, enumerated only once the KL check reads them."""
+    yield from enumerate_errors(n, 1).members
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -99,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shown = found if found is not None else "none"
         print(f"distance: {shown} (searched weight <= {args.distance})")
     if args.kl:
-        kl = kl_check(code, enumerate_errors(code.n, 1))
+        kl = kl_check(code, _one_error_set(code.n))
         verdict = "pass" if kl.passed and kl.full_rank else "FAIL"
         size = kl.c_matrix.shape[0]
         print(
@@ -227,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_j",
         type=int,
         default=4,
-        help="recursion bound for large codes (default 4, n=341)",
+        help=(
+            "largest J accepted (default 4, n=341); J <= 6 is the hard cap "
+            "set by the degree-12 polynomial table"
+        ),
     )
     p_perfect.add_argument("--out", default="-")
     p_perfect.set_defaults(func=cmd_family)

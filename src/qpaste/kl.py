@@ -6,6 +6,16 @@ directly.  Everything is real arithmetic: with the real Y convention each
 Pauli product acts on a state vector as a signed permutation of basis
 indices, never as a dense matrix.
 
+Each codeword is the projection of one basis state, so it lives on that
+state's coset of the generators' X-span and no two codewords share a basis
+index: the 2^k x 2^n basis W has at most one nonzero entry per column.
+``kl_check`` keeps W as a (row, value) pair per index, applies all m errors
+to that pair in one step, and for each error a sums the Gram blocks G_ab,
+b >= a, with one bincount over (b, i, j) bins; a code with n - k generators
+fits 2^(n-k) values of b in one bincount, so no bincount has more than
+2^(n+k) bins.  The blocks cost O(m^2 (2^n + 4^k)) in all, in m Python
+iterations when 2^(n-k) >= m; the codewords cost O((n - k) 2^n).
+
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; the default cap keeps state vectors at or
 below 2^10 entries.  numpy is imported by the functions that use it, so
@@ -32,25 +42,29 @@ class CapExceededError(ValueError):
     """Dense-statevector work refused because the qubit count is too large."""
 
 
-def _signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index map and coefficients with (P v)[c] = coeff[c] * v[src[c]].
+def _signed_permutations(
+    ops: Sequence[PauliOperator], dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps and coefficients with (P_r v)[c] = coeff[r, c] * v[src[r, c]].
 
+    One row per operator, all built in one vectorised step.
     P|b> = sign * (-1)^{popcount(b & z)} |b ^ x>, so the amplitude at c is
     pulled from b = c ^ x with the phase evaluated at b.
     """
     import numpy as np
 
-    idx = np.arange(dim)
-    src = idx ^ p.x
-    parity = np.bitwise_count(src & p.z) & 1
-    coeff = p.sign * np.where(parity, -1.0, 1.0)
+    xs = np.array([p.x for p in ops], dtype=np.int64).reshape(-1, 1)
+    zs = np.array([p.z for p in ops], dtype=np.int64).reshape(-1, 1)
+    signs = np.array([p.sign for p in ops], dtype=float).reshape(-1, 1)
+    src = np.arange(dim) ^ xs
+    coeff = np.where(np.bitwise_count(src & zs) & 1, -signs, signs)
     return src, coeff
 
 
 def apply_pauli(p: PauliOperator, vec: np.ndarray) -> np.ndarray:
     """Apply an operator to a state vector (or to each row of a matrix)."""
-    src, coeff = _signed_permutation(p, 1 << p.n)
-    return coeff * vec[..., src]
+    src, coeff = _signed_permutations([p], 1 << p.n)
+    return coeff[0] * vec[..., src[0]]
 
 
 @dataclass(frozen=True)
@@ -66,9 +80,13 @@ class Codespace:
 def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace:
     """Build 2^k orthonormal codewords by projecting the standard basis.
 
-    The projector prod_i (I + M_i)/2 is applied to each standard basis
-    vector in index order; surviving directions are orthonormalized by
-    modified Gram-Schmidt, discarding residuals below norm 1e-8.
+    The projector prod_i (I + M_i)/2 maps |b> into the span of b's coset of
+    the generators' X-span, and every other member of that coset projects
+    to +/- the same vector.  So only each coset's smallest index is
+    projected (all of them at once, in one vector, as their supports are
+    disjoint), projections with norm below 1e-8 are discarded, and the
+    rest, normalized, are the codewords in order of that index.  Disjoint
+    supports make them orthogonal without Gram-Schmidt.
     """
     import numpy as np
 
@@ -83,26 +101,46 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
     dim = 1 << code.n
     k = code.n - code.a
     target = 1 << k
-    actions = [_signed_permutation(g, dim) for g in code.generators]
-    basis: list[np.ndarray] = []
-    for b in range(dim):
-        v = np.zeros(dim)
-        v[b] = 1.0
-        for src, coeff in actions:
-            v = 0.5 * (v + coeff * v[src])
-        for u in basis:
-            v = v - (u @ v) * u
-        norm = float(np.linalg.norm(v))
-        if norm > _DISCARD_NORM:
-            basis.append(v / norm)
-            if len(basis) == target:
-                break
-    if len(basis) != target:
+    src, coeff = _signed_permutations(code.generators, dim)
+    # Label each index by the smallest member of its coset: the minimum over
+    # c ^ span(x_1..x_j) is the smaller of two such minima over span(x_1..x_j-1).
+    label = np.arange(dim)
+    for s in src:
+        label = np.minimum(label, label[s])
+    reps = np.flatnonzero(label == np.arange(dim))
+    v = np.zeros(dim)
+    v[reps] = 1.0
+    for s, c in zip(src, coeff):
+        v = 0.5 * (v + c * v[s])
+    norm = np.sqrt(np.bincount(label, weights=v * v, minlength=dim))
+    kept = reps[norm[reps] > _DISCARD_NORM]
+    if len(kept) != target:
         raise RuntimeError(
-            f"projector produced {len(basis)} directions, expected 2^{k}; "
+            f"projector produced {len(kept)} directions, expected 2^{k}; "
             "the generator set is inconsistent"
         )
-    return Codespace(code.n, k, np.array(basis), code)
+    position = np.full(dim, -1)
+    position[kept] = np.arange(target)
+    row = position[label]
+    cols = np.flatnonzero(row >= 0)
+    basis = np.zeros((target, dim))
+    basis[row[cols], cols] = v[cols] / norm[label[cols]]
+    return Codespace(code.n, k, basis, code)
+
+
+def _columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basis as (row, value) per index: basis[row[c], c] == value[c].
+
+    Codewords from ``codewords`` lie on disjoint cosets, so each column
+    holds at most one nonzero entry; anything else is refused.
+    """
+    import numpy as np
+
+    nonzero = basis != 0
+    if np.count_nonzero(nonzero, axis=0).max(initial=0) > 1:
+        raise RuntimeError("codeword basis has two nonzero entries in one column")
+    row = nonzero.argmax(axis=0)
+    return row, basis[row, np.arange(basis.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -133,33 +171,52 @@ def kl_check(
     Passes when every inner product <psi_i| Ea' Eb |psi_j> matches
     C_ab * delta_ij within ``tol``, with C_ab taken as the diagonal (i = j)
     average.  When the diagonal blocks are not constant the report simply
-    fails with the raw deviation.
+    fails with the raw deviation.  The cap and the code are checked before
+    ``errors`` is read, so a refused check never iterates it.
     """
     import numpy as np
 
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    space = codewords(code, n_cap)
     members = tuple(errors.members if isinstance(errors, ErrorSet) else errors)
     if not members:
         raise ValueError("need at least one error operator")
     for e in members:
         if e.n != code.n:
             raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    space = codewords(code, n_cap)
-    w = space.basis
-    dim_k = w.shape[0]
-    transformed = [apply_pauli(e, w) for e in members]
+    row, value = _columns(space.basis)
+    dim_k, dim = space.basis.shape
+    src, coeff = _signed_permutations(members, dim)
+    # E_a W has one nonzero per column too: codeword rows[a, c], value vals[a, c].
+    rows = row[src]
+    vals = coeff * value[src]
     m = len(members)
     c_matrix = np.empty((m, m))
-    eye = np.eye(dim_k)
     max_deviation = 0.0
+    cells = dim_k * dim_k
+    # Blocks G_ab for up to `chunk` values of b per bincount, so that no
+    # bincount has more bins than the dense basis has entries (2^k * 2^n).
+    # Bin of (b, i, j) is (b - b0) * cells + i * 2^k + j.
+    chunk = min(m, dim // dim_k)
+    left = rows * dim_k
+    right = rows + np.arange(m).reshape(-1, 1) * cells
+    # Reused, as fresh temporaries of this size cost page faults every time.
+    keys = np.empty((chunk, dim), dtype=right.dtype)
+    weights = np.empty((chunk, dim))
     for a in range(m):
-        for b in range(a, m):
-            gram = transformed[a] @ transformed[b].T
-            c_ab = float(np.trace(gram)) / dim_k
-            c_matrix[a, b] = c_ab
-            c_matrix[b, a] = c_ab
-            deviation = float(np.max(np.abs(gram - c_ab * eye)))
+        for b0 in range(a, m, chunk):
+            nb = min(chunk, m - b0)
+            np.add(left[a] - b0 * cells, right[b0 : b0 + nb], out=keys[:nb])
+            np.multiply(vals[a], vals[b0 : b0 + nb], out=weights[:nb])
+            blocks = np.bincount(keys[:nb].ravel(), weights[:nb].ravel(), nb * cells)
+            blocks = blocks.reshape(nb, cells)
+            diagonal = blocks[:, :: dim_k + 1]
+            c_ab = diagonal.sum(axis=1) / dim_k
+            c_matrix[a, b0 : b0 + nb] = c_ab
+            c_matrix[b0 : b0 + nb, a] = c_ab
+            diagonal -= c_ab.reshape(-1, 1)
+            deviation = float(np.abs(blocks, out=blocks).max())
             if deviation > max_deviation:
                 max_deviation = deviation
     rank = int(np.linalg.matrix_rank(c_matrix))

@@ -14,6 +14,7 @@ from itertools import combinations, product
 import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
+from qpaste.kl import KLReport
 from qpaste.pauli import PauliOperator, adjoint, commutes, multiply, parse_pauli
 from qpaste.stabilizer import StabilizerCode, contains, syndrome
 from qpaste.pasting import PaddedCode, augment
@@ -281,3 +282,61 @@ def reference_best_k(n: int) -> int | None:
     while (lhs << (k + 1)) <= rhs:
         k += 1
     return k
+
+
+def _reference_signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P v)[c] = coeff[c] * v[src[c]] for one operator, built on its own."""
+    idx = np.arange(dim)
+    src = idx ^ p.x
+    parity = np.bitwise_count(src & p.z) & 1
+    coeff = p.sign * np.where(parity, -1.0, 1.0)
+    return src, coeff
+
+
+def reference_codewords(code: StabilizerCode) -> np.ndarray:
+    """Codeword basis by projecting each basis state in index order.
+
+    Surviving directions are orthonormalized by modified Gram-Schmidt,
+    discarding residuals below norm 1e-8.
+    """
+    dim = 1 << code.n
+    target = 1 << (code.n - code.a)
+    actions = [_reference_signed_permutation(g, dim) for g in code.generators]
+    basis: list[np.ndarray] = []
+    for b in range(dim):
+        v = np.zeros(dim)
+        v[b] = 1.0
+        for src, coeff in actions:
+            v = 0.5 * (v + coeff * v[src])
+        for u in basis:
+            v = v - (u @ v) * u
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-8:
+            basis.append(v / norm)
+            if len(basis) == target:
+                break
+    assert len(basis) == target
+    return np.array(basis)
+
+
+def reference_kl_check(code: StabilizerCode, errors, tol: float = 1e-10) -> KLReport:
+    """kl_check with one dense Gram block matmul per error pair."""
+    w = reference_codewords(code)
+    dim_k, dim = w.shape
+    transformed = []
+    for e in errors:
+        src, coeff = _reference_signed_permutation(e, dim)
+        transformed.append(coeff * w[:, src])
+    m = len(transformed)
+    c_matrix = np.empty((m, m))
+    eye = np.eye(dim_k)
+    max_deviation = 0.0
+    for a in range(m):
+        for b in range(a, m):
+            gram = transformed[a] @ transformed[b].T
+            c_ab = float(np.trace(gram)) / dim_k
+            c_matrix[a, b] = c_ab
+            c_matrix[b, a] = c_ab
+            max_deviation = max(max_deviation, float(np.max(np.abs(gram - c_ab * eye))))
+    rank = int(np.linalg.matrix_rank(c_matrix))
+    return KLReport(c_matrix, max_deviation, max_deviation < tol, rank, rank == m, tol)

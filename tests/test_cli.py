@@ -6,6 +6,7 @@ import pytest
 from qpaste.catalog import builtin
 from qpaste.cli import main
 from qpaste.files import dumps
+from qpaste.verification import enumerate_errors
 
 
 @pytest.fixture
@@ -52,6 +53,23 @@ def test_verify_kl_refusal_text(stab_files, capsys):
     assert capsys.readouterr().err == (
         "error: kl check refused: n=13 exceeds the dense-statevector cap (10 qubits)\n"
     )
+
+
+def test_verify_kl_refusal_builds_no_errors(stab_files, capsys, monkeypatch):
+    import qpaste.cli as cli
+
+    built = []
+
+    def spy(n, t):
+        built.append((n, t))
+        return enumerate_errors(n, t)
+
+    monkeypatch.setattr(cli, "enumerate_errors", spy)
+    assert main(["verify", stab_files["code13"], "--kl"]) == 2
+    assert built == []
+    assert main(["verify", stab_files["code5"], "--kl"]) == 0
+    assert built == [(5, 1)]
+    assert "kl: pass (C rank 16/16" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("weight", ["0", "-1"])

@@ -1,0 +1,56 @@
+"""Property tests: the three verification routes agree on random small codes.
+
+Each drawn code has n <= 7 and 1 <= a <= n.  Random codes mostly fail to
+correct one error, so the strategy also draws degenerate codes (a random
+code with one qubit repeated, or beside the XX, ZZ pair) and qubit-shuffled
+passing codes, degenerate and not.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from qpaste.catalog import builtin
+from qpaste.kl import kl_check
+from qpaste.pauli import identity, parse_pauli, tensor
+from qpaste.stabilizer import StabilizerCode
+from qpaste.verification import distance, enumerate_errors, verify_distance3
+
+from helpers import degenerate_code6, random_valid_code, repeat_qubit, shuffled_qubits
+
+XX_ZZ = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
+
+
+def _beside(left: StabilizerCode, right: StabilizerCode) -> StabilizerCode:
+    rows = [tensor(g, identity(right.n)) for g in left.generators]
+    rows += [tensor(identity(left.n), g) for g in right.generators]
+    return StabilizerCode(rows, left.n + right.n)
+
+
+PASSING = (builtin("code5"), degenerate_code6(), XX_ZZ, _beside(builtin("code5"), XX_ZZ))
+
+
+@st.composite
+def small_codes(draw) -> StabilizerCode:
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "repeat", "pair", "passing")))
+    n = draw(st.integers(1, 7))
+    a = draw(st.integers(1, n))
+    if kind == "repeat" and n >= 2:
+        return repeat_qubit(random_valid_code(rng, n - 1, a - 1), rng.randrange(n - 1))
+    if kind == "pair" and n >= 3 and a >= 2:
+        return _beside(random_valid_code(rng, n - 2, a - 2), XX_ZZ)
+    if kind == "passing":
+        return shuffled_qubits(rng, draw(st.sampled_from(PASSING)))
+    return random_valid_code(rng, n, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_codes())
+def test_three_routes_agree(code):
+    assert 1 <= code.a <= code.n <= 7
+    kl = kl_check(code, enumerate_errors(code.n, 1))
+    degenerate_pass = verify_distance3(code, allow_degenerate=True).ok
+    no_short_logical = distance(code, min(2, code.n)) is None
+    assert kl.passed == degenerate_pass == no_short_logical
+    assert verify_distance3(code).ok == (kl.passed and kl.full_rank)
