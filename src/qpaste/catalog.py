@@ -54,7 +54,6 @@ _BUILTIN_PARAMS = {"code5": (5, 4), "code8": (8, 5), "code13": (13, 6)}
 # the leading term (e.g. degree 4: x^4 + x + 1 -> 0b10011).  Fixed so the
 # constructed codes are identical across runs and platforms.
 _PRIMITIVE_POLY = {
-    2: 0b111,
     3: 0b1011,
     4: 0b10011,
     5: 0b100101,
@@ -109,32 +108,27 @@ def _builtin(name: str) -> StabilizerCode:
     return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
 
 
-def _multiply_by_x(value: int, m: int, poly: int) -> int:
-    """One step of multiplication by x in GF(2)[x] mod the degree-m poly."""
-    value <<= 1
-    if (value >> m) & 1:
-        value ^= poly
-    return value & ((1 << m) - 1)
-
-
 def _mixer_images(m: int, mixer: Sequence[int] | None) -> list[int]:
-    """Image L(v) for every label v, either from the fixed polynomial
-    table (multiplication by x) or from explicit matrix rows."""
-    size = 1 << m
+    """Image L(v) for every label v, in integer order, by linearity.
+
+    L's columns are the images of 1, x, ..., x^(m-1) under multiplication by
+    x modulo the fixed polynomial, or the columns of explicit matrix rows;
+    each column doubles the list, pairing the images so far with it.
+    """
     if mixer is None:
         poly = _PRIMITIVE_POLY.get(m)
         if poly is None:
             raise ValueError(f"no default mixing polynomial for degree {m}")
-        return [_multiply_by_x(v, m, poly) for v in range(size)]
-    rows = list(mixer)
-    if len(rows) != m:
-        raise ValueError(f"mixer needs {m} rows, got {len(rows)}")
-    images = []
-    for v in range(size):
-        image = 0
-        for r, row in enumerate(rows):
-            image |= ((row & v).bit_count() & 1) << r
-        images.append(image)
+        # x * x^(m-1) = x^m, which the polynomial reduces to its lower terms.
+        columns = [1 << (c + 1) for c in range(m - 1)] + [poly ^ (1 << m)]
+    else:
+        rows = list(mixer)
+        if len(rows) != m:
+            raise ValueError(f"mixer needs {m} rows, got {len(rows)}")
+        columns = [sum(((row >> c) & 1) << r for r, row in enumerate(rows)) for c in range(m)]
+    images = [0]
+    for column in columns:
+        images += [i ^ column for i in images]
     return images
 
 

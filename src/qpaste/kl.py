@@ -9,12 +9,14 @@ indices, never as a dense matrix.
 Each codeword is the projection of one basis state, so it lives on that
 state's coset of the generators' X-span and no two codewords share a basis
 index: the 2^k x 2^n basis W has at most one nonzero entry per column.
-``kl_check`` keeps W as a (row, value) pair per index, applies all m errors
-to that pair in one step, and for each error a sums the Gram blocks G_ab,
-b >= a, with one bincount over (b, i, j) bins; a code with n - k generators
-fits 2^(n-k) values of b in one bincount, so no bincount has more than
-2^(n+k) bins.  The blocks cost O(m^2 (2^n + 4^k)) in all, in m Python
-iterations when 2^(n-k) >= m; the codewords cost O((n - k) 2^n).
+W is built as a (row, value) pair per index; ``kl_check`` reads that pair
+directly, and only ``codewords`` scatters it into a dense matrix.
+``kl_check`` applies all m errors to the pair in one step, and for each
+error a sums the Gram blocks G_ab, b >= a, with one bincount over
+(b, i, j) bins; a code with n - k generators fits 2^(n-k) values of b in
+one bincount, so no bincount has more than 2^(n+k) bins.  The blocks cost
+O(m^2 (2^n + 4^k)) in all, in m Python iterations when 2^(n-k) >= m; the
+codewords cost O((n - k) 2^n).
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; the default cap keeps state vectors at or
@@ -77,8 +79,8 @@ class Codespace:
     code: StabilizerCode
 
 
-def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace:
-    """Build 2^k orthonormal codewords by projecting the standard basis.
+def _sparse_codewords(code: StabilizerCode, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codeword basis as (row, value) per index: basis[row[c], c] == value[c].
 
     The projector prod_i (I + M_i)/2 maps |b> into the span of b's coset of
     the generators' X-span, and every other member of that coset projects
@@ -86,7 +88,8 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
     projected (all of them at once, in one vector, as their supports are
     disjoint), projections with norm below 1e-8 are discarded, and the
     rest, normalized, are the codewords in order of that index.  Disjoint
-    supports make them orthogonal without Gram-Schmidt.
+    supports make them orthogonal without Gram-Schmidt and leave at most
+    one nonzero per index; indices of discarded cosets read row 0, value 0.
     """
     import numpy as np
 
@@ -119,28 +122,26 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
             f"projector produced {len(kept)} directions, expected 2^{k}; "
             "the generator set is inconsistent"
         )
-    position = np.full(dim, -1)
+    position = np.zeros(dim, dtype=np.intp)
     position[kept] = np.arange(target)
-    row = position[label]
-    cols = np.flatnonzero(row >= 0)
-    basis = np.zeros((target, dim))
-    basis[row[cols], cols] = v[cols] / norm[label[cols]]
-    return Codespace(code.n, k, basis, code)
+    norm = norm[label]
+    value = np.divide(v, norm, out=np.zeros(dim), where=norm > _DISCARD_NORM)
+    return position[label], value
 
 
-def _columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The basis as (row, value) per index: basis[row[c], c] == value[c].
+def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace:
+    """Build 2^k orthonormal codewords by projecting the standard basis.
 
-    Codewords from ``codewords`` lie on disjoint cosets, so each column
-    holds at most one nonzero entry; anything else is refused.
+    The dense 2^k x 2^n ``basis`` is built here only; ``kl_check`` reads the
+    (row, value) form that ``_sparse_codewords`` builds and this scatters.
     """
     import numpy as np
 
-    nonzero = basis != 0
-    if np.count_nonzero(nonzero, axis=0).max(initial=0) > 1:
-        raise RuntimeError("codeword basis has two nonzero entries in one column")
-    row = nonzero.argmax(axis=0)
-    return row, basis[row, np.arange(basis.shape[1])]
+    row, value = _sparse_codewords(code, n_cap)
+    k = code.n - code.a
+    basis = np.zeros((1 << k, len(row)))
+    basis[row, np.arange(len(row))] = value
+    return Codespace(code.n, k, basis, code)
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,15 @@ def kl_check(
 
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    space = codewords(code, n_cap)
+    row, value = _sparse_codewords(code, n_cap)
     members = tuple(errors.members if isinstance(errors, ErrorSet) else errors)
     if not members:
         raise ValueError("need at least one error operator")
     for e in members:
         if e.n != code.n:
             raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    row, value = _columns(space.basis)
-    dim_k, dim = space.basis.shape
+    dim_k = 1 << (code.n - code.a)
+    dim = len(row)
     src, coeff = _signed_permutations(members, dim)
     # E_a W has one nonzero per column too: codeword rows[a, c], value vals[a, c].
     rows = row[src]
@@ -196,7 +197,7 @@ def kl_check(
     max_deviation = 0.0
     cells = dim_k * dim_k
     # Blocks G_ab for up to `chunk` values of b per bincount, so that no
-    # bincount has more bins than the dense basis has entries (2^k * 2^n).
+    # bincount has more bins than a dense basis would have entries (2^k * 2^n).
     # Bin of (b, i, j) is (b - b0) * cells + i * 2^k + j.
     chunk = min(m, dim // dim_k)
     left = rows * dim_k

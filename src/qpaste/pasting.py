@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 from . import gf2
 from .pauli import PauliOperator, identity, tensor
-from .stabilizer import StabilizerCode, _pack, contains, validate
+from .stabilizer import StabilizerCode, _check_rows, _pack, contains, validate
 from .verification import verify_distance3
 
 CHECK_LARGER_VALID = "larger_valid"
@@ -44,16 +44,7 @@ class PaddedCode:
 
     def __init__(self, rows: Iterable[PauliOperator], n: int | None = None):
         rows = tuple(rows)
-        if n is None:
-            if not rows:
-                raise ValueError("qubit count required for an empty row list")
-            n = rows[0].n
-        for i, row in enumerate(rows, start=1):
-            if row.n != n:
-                raise ValueError(f"row {i} acts on {row.n} qubits, expected {n}")
-            if row.sign != 1:
-                raise ValueError(f"row {i} must have sign +1")
-        self.n = n
+        self.n = _check_rows(rows, n, "row")
         self.rows = rows
         self.placeholder_flags = tuple(r.x == 0 and r.z == 0 for r in rows)
         self.pad_count = sum(self.placeholder_flags)

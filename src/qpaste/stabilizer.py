@@ -49,6 +49,21 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return columns
 
 
+def _check_rows(rows: Sequence[PauliOperator], n: int | None, noun: str) -> int:
+    """Qubit count of ``rows`` (``n``, else the first row's), checking that every
+    row acts on it with sign +1; ``noun`` names a row in the error messages."""
+    if n is None:
+        if not rows:
+            raise ValueError(f"qubit count required for an empty {noun} list")
+        n = rows[0].n
+    for i, row in enumerate(rows, start=1):
+        if row.n != n:
+            raise ValueError(f"{noun} {i} acts on {row.n} qubits, expected {n}")
+        if row.sign != 1:
+            raise ValueError(f"{noun} {i} must have sign +1")
+    return n
+
+
 class StabilizerCode:
     """Ordered generator list over a fixed qubit count.
 
@@ -61,18 +76,9 @@ class StabilizerCode:
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
         gens = tuple(generators)
-        if n is None:
-            if not gens:
-                raise ValueError("qubit count required for an empty generator list")
-            n = gens[0].n
-        for i, g in enumerate(gens, start=1):
-            if g.n != n:
-                raise ValueError(f"generator {i} acts on {g.n} qubits, expected {n}")
-            if g.sign != 1:
-                raise ValueError(f"generator {i} must have sign +1")
-        self.n = n
+        self.n = _check_rows(gens, n, "generator")
         self.generators = gens
-        self._elim = gf2.Eliminator(2 * n, [_pack(g) for g in gens])
+        self._elim = gf2.Eliminator(2 * self.n, [_pack(g) for g in gens])
 
     @property
     def a(self) -> int:

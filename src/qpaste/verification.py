@@ -14,7 +14,7 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 from .pauli import _FACTOR_BITS, PauliOperator, adjoint, identity, multiply
-from .stabilizer import InvalidCodeError, StabilizerCode, contains, validate
+from .stabilizer import InvalidCodeError, StabilizerCode, _pack, validate
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
@@ -125,16 +125,20 @@ def _weight1_error(n: int, index: int) -> PauliOperator:
 
 
 def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
-    """Whether p or -p is in the group; either acts as a scalar on the codespace."""
-    return contains(code, p) or contains(code, PauliOperator(p.n, p.x, p.z, -p.sign))
+    """Whether p or -p is in the group; either acts as a scalar on the codespace.
+
+    A valid group does not contain -I, so it holds exactly one sign of each
+    element of its GF(2) span, and p's bits being in that span is enough.
+    """
+    return code._elim.solve(_pack(p)) is not None
 
 
 def distance(code: StabilizerCode, max_weight: int) -> int | None:
     """Smallest weight of an operator commuting with the group but outside it.
 
     Searches weights 1..max_weight, with 1 <= max_weight <= n; returns None
-    when no such operator exists in that range.  Both sign assignments of each candidate are
-    checked against the group, since membership is sign-sensitive.
+    when no such operator exists in that range.  A candidate counts as in the
+    group when either sign of it is, which is one GF(2) span test.
 
     Candidates are scanned in canonical order; the syndrome of one is the
     XOR of its qubits' entries in ``code.syndrome_table``, and it is zero

@@ -128,6 +128,17 @@ def random_mixer(rng: random.Random, m: int) -> list[int]:
         return rows
 
 
+def reference_mixer_images(m: int, rows: list[int]) -> list[int]:
+    """L(v) for every label v, one parity per row and label: (L v)_r = <row_r, v>."""
+    images = []
+    for v in range(1 << m):
+        image = 0
+        for r, row in enumerate(rows):
+            image |= ((row & v).bit_count() & 1) << r
+        images.append(image)
+    return images
+
+
 def permute_qubits(code: StabilizerCode, perm: list[int]) -> StabilizerCode:
     """Relabel qubits: new position j takes the factor of old position perm[j]."""
     rows = []

@@ -1,10 +1,12 @@
+import hashlib
 import random
 import threading
 
 import pytest
 
 from qpaste import catalog
-from qpaste.catalog import builtin, entries, hamming_class, perfect
+from qpaste.catalog import _mixer_images, builtin, entries, hamming_class, perfect
+from qpaste.files import dumps
 from qpaste.pauli import format_pauli
 from qpaste.pasting import locate_xz_generators
 from qpaste.stabilizer import syndrome, validate
@@ -15,7 +17,7 @@ from qpaste.verification import (
     verify_distance3,
 )
 
-from helpers import random_mixer
+from helpers import random_mixer, reference_mixer_images
 
 CODE5_ROWS = ["XXZIZ", "ZXXZI", "IZXXZ", "ZIZXX"]
 CODE8_ROWS = ["XXXXXXXX", "ZZZZZZZZ", "XIXIZYZY", "XIYZXIYZ", "XZIYIYXZ"]
@@ -104,6 +106,56 @@ def test_hamming_class_rejects_singular_mixer():
         hamming_class(3, mixer=[0b001, 0b010, 0b011])  # singular
     with pytest.raises(ValueError, match="invertible"):
         hamming_class(3, mixer=[0b001, 0b010, 0b100])  # identity: L+I singular
+
+
+# SHA-256 of dumps() of each constructed family member, fixed so that a
+# change of the default mixer or of the pasting order cannot pass unseen.
+HAMMING_SHA256 = {
+    3: "81b80bb8ff2868ec3b39212ea41398264bf4b7b47179d3b9cec5a6bde0a24e7a",
+    4: "72a4ea9618ba075cd7aebca5c02dee279452562f2b05afdcf14b0c4b37bb463a",
+    5: "91034a1de6570f8740782f039f9e5eafb647afd6f79842c2fbd25017b369e48e",
+    6: "9ff5f88043474d53781229ec43431ab7ac82e52203331750c2c4ef7c6cd42603",
+    7: "7e5cce7baa07fd85e90a08c8aa21f00ecdebfe6a3e17e776903250fae04a9dda",
+    8: "8334d77f38efd5d475c708f445b3433992b35c175f55d1e18f2cd5530d3d52bf",
+    9: "565ec2fb292ce0acf8ece5038c06bb9b7ecf5618cdf9fdc60c565d2712429a5c",
+    10: "8237c4bd9660ac1bb19cd4eb97bc145e2800218d4420180f0aba152c95939325",
+    11: "a4565f6f8e24f0a8bc88d6e017921cb623c4144fb1c3919d88e7a797274b453f",
+    12: "feef1e856a017ca84069969f629268b36ffa132a035cf0169b1ed53b88d5f596",
+}
+PERFECT_SHA256 = {
+    1: "0024361ee5ac092ff1d514e3c87400d51bf2578d275e17daabe657c13cb4bc1d",
+    2: "2a418433ff7ef9bae6240590be832ca1c41c30d27ba0e4327f066e35ffd34b9f",
+    3: "69a423027b0208d321cffb4f2061930a093d1b972aa4ade6658c98c508af905d",
+    4: "a4c58b783486a6b97eb8173ac4dd566089ee787eecfbdd757e7008400f55524f",
+    5: "72e6a36f149e0da06b9f5072b2d962376ac455f3d35b70885bcd1caf75e9f7ab",
+    6: "2623119a0c179051625b8d4945be340a73b1a45e4a0b78f80c60d41aba92112d",
+}
+
+
+def _sha256(code) -> str:
+    return hashlib.sha256(dumps(code).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(HAMMING_SHA256))
+def test_hamming_class_golden(m):
+    assert _sha256(hamming_class(m)) == HAMMING_SHA256[m]
+
+
+@pytest.mark.parametrize("j", sorted(PERFECT_SHA256))
+def test_perfect_golden(j):
+    assert _sha256(perfect(j, j_max=6)) == PERFECT_SHA256[j]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_mixer_images_match_parity_reference(m):
+    rng = random.Random(m)
+    for wide in (False, True):
+        # Wide rows carry bits at and above m, which L must ignore.
+        rows = [rng.getrandbits(m + 3 if wide else m) for _ in range(m)]
+        assert _mixer_images(m, rows) == reference_mixer_images(m, rows)
+    if m >= 2:  # for m = 1, L = 1 leaves L + I = 0 singular
+        mixer = random_mixer(rng, m)
+        assert _mixer_images(m, mixer) == reference_mixer_images(m, mixer)
 
 
 def test_perfect_parameters():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpaste.catalog import builtin
-from qpaste.kl import _columns, codewords, kl_check
+from qpaste.kl import codewords, kl_check
 from qpaste.pauli import PauliOperator, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors
@@ -92,11 +92,3 @@ def test_kl_check_matches_reference_on_signed_weight2_errors(name):
     rng.shuffle(errors)
     errors = errors[:60]
     assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
-
-
-def test_columns_refuses_a_shared_column():
-    basis = np.array([[1.0, 0.0], [0.5, 1.0]])
-    with pytest.raises(RuntimeError, match="one column"):
-        _columns(basis)
-    row, value = _columns(np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]))
-    assert row.tolist() == [1, 0, 0] and value.tolist() == [3.0, 2.0, 0.0]

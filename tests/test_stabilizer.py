@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qpaste.catalog import builtin, hamming_class
+from qpaste.pasting import PaddedCode
 from qpaste.pauli import (
     PauliOperator,
     format_pauli,
@@ -37,6 +38,35 @@ def test_constructor_checks():
         StabilizerCode([])
     empty = StabilizerCode([], n=3)
     assert empty.a == 0 and validate(empty).ok
+
+
+@pytest.mark.parametrize(
+    "cls, empty, width, sign",
+    [
+        (
+            StabilizerCode,
+            "qubit count required for an empty generator list",
+            "generator 2 acts on 3 qubits, expected 2",
+            "generator 2 must have sign +1",
+        ),
+        (
+            PaddedCode,
+            "qubit count required for an empty row list",
+            "row 2 acts on 3 qubits, expected 2",
+            "row 2 must have sign +1",
+        ),
+    ],
+)
+def test_constructor_messages(cls, empty, width, sign):
+    cases = [
+        ([], empty),
+        ([parse_pauli("XX"), parse_pauli("XYZ")], width),
+        ([parse_pauli("XX"), PauliOperator(2, 0, 3, -1)], sign),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as caught:
+            cls(rows)
+        assert str(caught.value) == message
 
 
 def test_validate_code13_passes():
