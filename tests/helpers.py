@@ -118,7 +118,13 @@ def random_valid_code(rng: random.Random, n: int, a: int) -> StabilizerCode:
 
 
 def random_mixer(rng: random.Random, m: int) -> list[int]:
-    """Random m x m GF(2) matrix rows with the matrix and its successor invertible."""
+    """Random m x m GF(2) matrix rows with the matrix and its successor invertible.
+
+    Needs m >= 2: for m = 1 the only invertible L is 1 and L + I = 0 is
+    singular, so there is nothing to draw.
+    """
+    if m < 2:
+        raise ValueError(f"no m x m mixer with L and L + I invertible for m = {m}")
     while True:
         rows = [rng.getrandbits(m) for _ in range(m)]
         if gf2.rank(rows, m) != m:

@@ -158,6 +158,12 @@ def test_mixer_images_match_parity_reference(m):
         assert _mixer_images(m, mixer) == reference_mixer_images(m, mixer)
 
 
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_random_mixer_refuses_sizes_without_a_mixer(m):
+    with pytest.raises(ValueError, match="mixer"):
+        random_mixer(random.Random(m), m)
+
+
 def test_perfect_parameters():
     expected = {1: (5, 4), 2: (21, 6), 3: (85, 8), 4: (341, 10)}
     for j, (n, a) in expected.items():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qpaste.catalog import builtin
+from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import CapExceededError, apply_pauli, codewords, kl_check
 from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
@@ -73,6 +73,18 @@ def test_kl_code8():
     report = kl_check(builtin("code8"), enumerate_errors(8, 1), tol=1e-10)
     assert report.passed and report.full_rank and report.rank == 25
     assert np.allclose(np.diag(report.c_matrix), 1.0, atol=1e-12)
+
+
+def test_kl_code13_under_a_raised_cap():
+    report = kl_check(builtin("code13"), enumerate_errors(13, 1), n_cap=13)
+    assert report.passed and report.full_rank and report.rank == 40
+
+
+def test_kl_hamming_class4_under_a_raised_cap():
+    # n = 16, k = 10: 2^10 x 2^10 Gram blocks, of which only the cells the
+    # 2^16 basis indices reach are ever formed.
+    report = kl_check(hamming_class(4), enumerate_errors(16, 1), n_cap=16)
+    assert report.passed and report.full_rank and report.rank == 49
 
 
 def test_kl_identity_only():

@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
+from qpaste import gf2
 from qpaste.catalog import builtin
 from qpaste.kl import codewords, kl_check
-from qpaste.pauli import PauliOperator, identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, commutes, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors
 
 from helpers import (
     degenerate_code6,
+    dense,
     random_valid_code,
     reference_codewords,
     reference_kl_check,
@@ -92,3 +94,114 @@ def test_kl_check_matches_reference_on_signed_weight2_errors(name):
     rng.shuffle(errors)
     errors = errors[:60]
     assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
+
+
+def _low_x_rank_code(rng: random.Random, n: int, a: int, x_rank: int) -> StabilizerCode:
+    """A random code of x_rank X-type generators and a - x_rank Z-type ones.
+
+    Its X-span has rank x_rank, so the 2^n indices fall into many small
+    cosets, and every coset that breaks a Z-type parity is discarded.
+    """
+    rows: list[PauliOperator] = []
+    independent = gf2.Eliminator(2 * n)
+    while len(rows) < a:
+        bits = rng.getrandbits(n)
+        p = PauliOperator(n, bits, 0, 1) if len(rows) < x_rank else PauliOperator(n, 0, bits, 1)
+        if any(commutes(p, q) for q in rows) or not independent.add(p.x | (p.z << n)):
+            continue
+        rows.append(p)
+    return StabilizerCode(rows, n)
+
+
+def _weight2_codes() -> list[tuple[str, StabilizerCode]]:
+    # The reference's cost grows as 4^k, so n = 7 codes keep k <= 4.
+    rng = random.Random(6602)
+    codes = [("no-generators-n4", StabilizerCode([], n=4))]
+    for n in range(2, 8):
+        low = 3 if n == 7 else 1
+        for i in range(4):
+            a = rng.randint(low, n)
+            codes.append((f"random{i}-n{n}-a{a}", random_valid_code(rng, n, a)))
+        for x_rank in (0, 0, 1, 1):
+            a = rng.randint(max(low, x_rank), n)
+            codes.append((f"x{x_rank}-n{n}-a{a}", _low_x_rank_code(rng, n, a, x_rank)))
+    return codes
+
+
+WEIGHT2_CODES = _weight2_codes()
+
+
+@pytest.mark.parametrize("name, code", WEIGHT2_CODES, ids=[name for name, _ in WEIGHT2_CODES])
+def test_kl_check_matches_reference_on_weight2_errors(name, code):
+    # At least as many errors as basis indices: one coset per chunk, and the
+    # low X-rank codes discard most of their cosets.
+    errors = enumerate_errors(code.n, 2)
+    assert_same_report(kl_check(code, errors), reference_kl_check(code, errors.members))
+
+
+def test_gram_products_stay_within_m_times_2n(monkeypatch):
+    sizes = []
+    matmul = np.matmul
+
+    def recording_matmul(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    rng = random.Random(6603)
+    # (code, error weight, fewest products): every error set has m <= 2^n.
+    cases = [
+        # 2^8 single-index cosets, at most 2^8 / 25 of them per product.
+        (_low_x_rank_code(rng, 8, 3, 0), 1, 10),
+        (_low_x_rank_code(rng, 8, 4, 1), 1, 1),
+        (random_valid_code(rng, 9, 4), 2, 1),
+        (builtin("code5"), 1, 1),
+    ]
+    for code, weight, fewest in cases:
+        errors = enumerate_errors(code.n, weight)
+        sizes.clear()
+        kl_check(code, errors)
+        assert len(sizes) >= fewest
+        assert max(sizes) <= len(errors.members) << code.n
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.25, 4.0])
+@pytest.mark.parametrize("errors", ["weight1+z", "identities"])
+def test_every_product_reaches_the_report(monkeypatch, errors, weight):
+    # No generators on 3 qubits: eight single-index cosets, in index order,
+    # and more errors than indices, so each coset is a product of its own.
+    # Scaling product p by `weight` weights index p in every Gram block,
+    # which the dense sums below do directly.  With ten identities every
+    # cell is diagonal, so nothing off the diagonal hides a lost extreme.
+    code = StabilizerCode([], n=3)
+    if errors == "identities":
+        errors = [identity(3)] * 10
+    else:
+        errors = [*enumerate_errors(3, 1).members]
+        errors += [PauliOperator(3, 0, z, 1) for z in (0b011, 0b101, 0b110, 0b111)]
+    images = [dense(format_pauli(e)) for e in errors]
+    matmul = np.matmul
+    for p in range(8):
+        calls = []
+
+        def weighted_matmul(*args, **kwargs):
+            out = matmul(*args, **kwargs)
+            calls.append(None)
+            return out * weight if len(calls) - 1 == p else out
+
+        monkeypatch.setattr(np, "matmul", weighted_matmul)
+        report = kl_check(code, errors)
+        monkeypatch.undo()
+        assert len(calls) == 8
+        weights = np.ones(8)
+        weights[p] = weight
+        grams = [[ea.T @ np.diag(weights) @ eb for eb in images] for ea in images]
+        c_matrix = np.array([[np.trace(g) / 8 for g in row] for row in grams])
+        deviation = max(
+            np.abs(g - c * np.eye(8)).max()
+            for row, c_row in zip(grams, c_matrix)
+            for g, c in zip(row, c_row)
+        )
+        assert np.allclose(report.c_matrix, c_matrix, rtol=0, atol=1e-12)
+        assert abs(report.max_deviation - deviation) <= 1e-12
