@@ -8,8 +8,10 @@ bit-exactly, row order included.
 
 Every catalog or constructed code is checked at build time (validation,
 weight-1 syndrome distinctness, expected parameters) and construction
-fails loudly if anything is off.  Built codes are memoised with
-``functools.cache``, so equal arguments return the same object.
+fails loudly if anything is off; for a pasted code, validation and the
+syndrome check are the ones ``paste`` runs on its output, not repeated
+here.  Built codes are memoised with ``functools.cache``, so equal
+arguments return the same object.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cache
 from typing import Sequence
 
 from .pauli import PauliOperator, parse_pauli
-from .stabilizer import StabilizerCode, validate
+from .stabilizer import StabilizerCode, _transpose, validate
 from .pasting import paste
 from .verification import is_perfect, perfect_length, verify_distance3
 
@@ -47,8 +49,12 @@ _CODE13_ROWS = (
     "IIIIIIIIZIZXX",
 )
 
-_BUILTIN_ROWS = {"code5": _CODE5_ROWS, "code8": _CODE8_ROWS, "code13": _CODE13_ROWS}
-_BUILTIN_PARAMS = {"code5": (5, 4), "code8": (8, 5), "code13": (13, 6)}
+# name: (rows, expected (n, a), provenance), in catalog order.
+_BUILTINS = {
+    "code5": (_CODE5_ROWS, (5, 4), "builtin"),
+    "code8": (_CODE8_ROWS, (8, 5), "builtin"),
+    "code13": (_CODE13_ROWS, (13, 6), "pasted"),
+}
 
 # One primitive polynomial per degree, coefficients as a bitmask including
 # the leading term (e.g. degree 4: x^4 + x + 1 -> 0b10011).  Fixed so the
@@ -76,12 +82,18 @@ class CatalogEntry:
     k: int
 
 
-def _checked(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
-    """Bail out if a catalog code fails its own correctness conditions."""
+def _shaped(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
+    """Bail out unless a catalog code has the expected (n, a)."""
     if code.n != n or code.a != a:
         raise RuntimeError(
             f"{context}: got (n={code.n}, a={code.a}), expected (n={n}, a={a})"
         )
+    return code
+
+
+def _checked(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
+    """Bail out if a catalog code fails its own correctness conditions."""
+    _shaped(code, n, a, context)
     report = validate(code)
     if not report.ok:
         raise RuntimeError(f"{context}: validation failed: {report.violations}")
@@ -100,11 +112,10 @@ def builtin(name: str) -> StabilizerCode:
 
 @cache
 def _builtin(name: str) -> StabilizerCode:
-    rows = _BUILTIN_ROWS.get(name)
-    if rows is None:
-        known = ", ".join(sorted(_BUILTIN_ROWS))
+    if name not in _BUILTINS:
+        known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown catalog code {name!r} (known: {known})")
-    n, a = _BUILTIN_PARAMS[name]
+    rows, (n, a), _ = _BUILTINS[name]
     return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
 
 
@@ -171,12 +182,8 @@ def _build_hamming_class(m: int, images: list[int]) -> StabilizerCode:
         )
     ones = (1 << n) - 1
     gens = [PauliOperator(n, ones, 0, 1), PauliOperator(n, 0, ones, 1)]
-    for r in range(m):
-        x_bits = 0
-        z_bits = 0
-        for v in range(n):
-            z_bits |= ((v >> r) & 1) << v
-            x_bits |= ((images[v] >> r) & 1) << v
+    # Row 2+r has bit v of its x part set where (L v)_r = 1, of its z part where v_r = 1.
+    for x_bits, z_bits in zip(_transpose(images, m), _transpose(range(n), m)):
         gens.append(PauliOperator(n, x_bits, z_bits, 1))
     return _checked(StabilizerCode(gens), n, m + 2, f"hamming_class({m})")
 
@@ -202,8 +209,9 @@ def _perfect(j: int) -> StabilizerCode:
         code = builtin("code5")
     else:
         code = paste(hamming_class(2 * j), _perfect(j - 1))
+    # paste has validated and syndrome-checked the code; builtin checked code5.
     n = perfect_length(j)
-    code = _checked(code, n, 2 * j + 2, f"perfect({j})")
+    code = _shaped(code, n, 2 * j + 2, f"perfect({j})")
     if not is_perfect(n, n - code.a):
         raise RuntimeError(f"perfect({j}) does not saturate the bound")
     return code
@@ -211,13 +219,8 @@ def _perfect(j: int) -> StabilizerCode:
 
 def entries() -> tuple[CatalogEntry, ...]:
     """The shipped catalog codes with their provenance and parameters."""
-    provenance = {"code5": "builtin", "code8": "builtin", "code13": "pasted"}
     out = []
-    for name in ("code5", "code8", "code13"):
+    for name, (_, _, provenance) in _BUILTINS.items():
         code = builtin(name)
-        out.append(
-            CatalogEntry(
-                name, code, provenance[name], code.n, code.a, code.n - code.a
-            )
-        )
+        out.append(CatalogEntry(name, code, provenance, code.n, code.a, code.n - code.a))
     return tuple(out)

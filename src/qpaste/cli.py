@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import files
-from .catalog import builtin, hamming_class, perfect
+from .catalog import _BUILTINS, builtin, hamming_class, perfect
 from .kl import kl_check
 from .pasting import PasteError, PasteVerificationError, augment, paste
 from .pauli import PauliOperator, PauliParseError, format_pauli
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_paste.set_defaults(func=cmd_paste)
 
     p_catalog = sub.add_parser("catalog", help="emit a built-in code")
-    p_catalog.add_argument("name", choices=["code5", "code8", "code13"])
+    p_catalog.add_argument("name", choices=list(_BUILTINS))
     p_catalog.add_argument("--out", default="-")
     p_catalog.set_defaults(func=cmd_catalog)
 

@@ -18,7 +18,7 @@ E_b W to one cell of the Gram block G_ab, and distinct cosets to distinct
 cells.  ``kl_check`` lays the values of all m errors' E_a W out by coset,
 drops the cosets where all of them vanish, and gets the m x m restricted
 inner products of a batch of cosets from one batched ``np.matmul``; per
-(a, b) it keeps only the diagonal sum, hit count and extremes and the
+(a, b) it keeps only the diagonal sum and extremes and the
 largest off-diagonal entry.  That is O(m^2 2^n) work in BLAS plus
 O(m^2 T) elementwise over the T cosets, with no 4^k term, and batches of
 at most 2^n / m cosets keep memory at O(m 2^n); the codewords cost
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pauli import PauliOperator
-from .stabilizer import InvalidCodeError, StabilizerCode, validate
+from .stabilizer import StabilizerCode, _require_valid
 from .verification import ErrorSet
 
 if TYPE_CHECKING:
@@ -114,9 +114,7 @@ def _sparse_codewords(
             f"kl check refused: n={code.n} exceeds the dense-statevector cap "
             f"({n_cap} qubits)"
         )
-    report = validate(code)
-    if not report.ok:
-        raise InvalidCodeError(report)
+    _require_valid(code)
     dim = 1 << code.n
     k = code.n - code.a
     target = 1 << k
@@ -234,7 +232,6 @@ def kl_check(
     # (m^2, the size of C itself, when there are more errors than indices).
     chunk = max(1, dim // m)
     total = np.zeros((m, m))
-    hits = np.zeros((m, m), dtype=np.intp)
     high = np.full((m, m), -np.inf)
     low = np.full((m, m), np.inf)
     off = np.zeros((m, m))
@@ -243,7 +240,6 @@ def kl_check(
         gram = np.matmul(block, block.transpose(0, 2, 1))
         cell = images[t0 : t0 + chunk]
         diagonal = (cell[:, :, None] == cell[:, None, :]) & (cell < dim_k)[:, :, None]
-        hits += diagonal.sum(axis=0)
         on = np.where(diagonal, gram, 0.0)
         total += on.sum(axis=0)
         np.maximum(high, np.where(diagonal, gram, -np.inf).max(axis=0), out=high)
@@ -251,13 +247,9 @@ def kl_check(
         np.maximum(off, np.abs(gram - on).max(axis=0), out=off)
     c_matrix = total / dim_k
     # A diagonal cell that no coset reaches holds 0, |C_ab| away from C_ab.
-    # For Pauli errors a pair reaches all 2^k diagonal cells or none (then
-    # C_ab = 0), so this term reads 0; it keeps the deviation complete
-    # without resting on that argument.
-    unreached = np.where(hits < dim_k, np.abs(c_matrix), 0.0)
-    max_deviation = float(
-        max((high - c_matrix).max(), (c_matrix - low).max(), off.max(), unreached.max())
-    )
+    # No term is needed for it: a pair of Pauli errors reaches either all
+    # 2^k diagonal cells or none of them, and in the second case C_ab = 0.
+    max_deviation = float(max((high - c_matrix).max(), (c_matrix - low).max(), off.max()))
     rank = int(np.linalg.matrix_rank(c_matrix))
     return KLReport(
         c_matrix=c_matrix,

@@ -202,8 +202,11 @@ def _side_checks(name_valid: str, name_nondeg: str, padded: PaddedCode) -> list[
     return checks
 
 
-def can_paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> PasteDiagnostics:
-    """Run every pasting precondition without constructing the output."""
+def _plan(
+    larger: PasteInput, smaller: PasteInput, t: int
+) -> tuple[PaddedCode, PaddedCode, PasteDiagnostics, StabilizerCode | None]:
+    """Both templates, every precondition, and the larger code's located
+    all-X/all-Z basis (None when it was not found or not looked for)."""
     _check_t(t)
     big = _as_padded(larger)
     small = _as_padded(smaller)
@@ -211,6 +214,7 @@ def can_paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> PasteDi
     checks.extend(_side_checks(CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE, big))
     checks.extend(_side_checks(CHECK_SMALLER_VALID, CHECK_SMALLER_NONDEGENERATE, small))
 
+    located = None
     if any(big.placeholder_flags[:2]):
         checks.append(
             PasteCheck(
@@ -261,7 +265,12 @@ def can_paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> PasteDi
             else f"placeholder pairs placeholder at row(s) {overlap}",
         )
     )
-    return PasteDiagnostics(tuple(checks))
+    return big, small, PasteDiagnostics(tuple(checks)), located
+
+
+def can_paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> PasteDiagnostics:
+    """Run every pasting precondition without constructing the output."""
+    return _plan(larger, smaller, t)[2]
 
 
 def paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> StabilizerCode:
@@ -270,27 +279,17 @@ def paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> StabilizerC
     Output rows: the larger code's all-X and all-Z rows extended by
     identity, then row i+2 of the larger template tensored with row i of
     the smaller one, in row order.  The result is validated and its
-    weight-1 syndromes checked before it is returned.
+    weight-1 syndromes checked before it is returned, so callers need not
+    check it again.
     """
-    diagnostics = can_paste(larger, smaller, t=t)
+    big, small, diagnostics, located = _plan(larger, smaller, t)
     if not diagnostics.ok:
         raise PasteError(diagnostics)
-    big = _as_padded(larger)
-    small = _as_padded(smaller)
-    located = locate_xz_generators(big.base)
-    if located is not big.base:
-        basis_iter = iter(located.generators)
-        filled = tuple(
-            identity(big.n) if flag else next(basis_iter)
-            for flag in big.placeholder_flags
-        )
-    else:
-        filled = big.rows
-    id_small = identity(small.n)
-    out_rows = [tensor(filled[0], id_small), tensor(filled[1], id_small)]
-    for big_row, small_row in zip(filled[2:], small.rows):
-        out_rows.append(tensor(big_row, small_row))
-    result = StabilizerCode(out_rows)
+    # Placeholder rows are the identity, so this is big.rows when the basis is as given.
+    basis = iter(located.generators)
+    filled = [identity(big.n) if flag else next(basis) for flag in big.placeholder_flags]
+    extension = (identity(small.n),) * 2 + small.rows
+    result = StabilizerCode([tensor(b, s) for b, s in zip(filled, extension)])
 
     report = validate(result)
     if not report.ok:

@@ -183,6 +183,13 @@ def validate(code: StabilizerCode) -> ValidationReport:
     return code._validation
 
 
+def _require_valid(code: StabilizerCode) -> None:
+    """Raise :class:`InvalidCodeError` unless :func:`validate` passes ``code``."""
+    report = validate(code)
+    if not report.ok:
+        raise InvalidCodeError(report)
+
+
 def _check_invariants(code: StabilizerCode) -> ValidationReport:
     violations: list[Violation] = []
     gens = code.generators
@@ -253,9 +260,7 @@ def contains(code: StabilizerCode, p: PauliOperator) -> bool:
 
 def parameters(code: StabilizerCode) -> CodeParameters:
     """Code parameters; requires a valid code."""
-    report = validate(code)
-    if not report.ok:
-        raise InvalidCodeError(report)
+    _require_valid(code)
     return CodeParameters(code.n, code.a, code.n - code.a)
 
 

@@ -14,7 +14,7 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 from .pauli import _FACTOR_BITS, PauliOperator, adjoint, identity, multiply
-from .stabilizer import InvalidCodeError, StabilizerCode, _pack, validate
+from .stabilizer import StabilizerCode, _pack, _require_valid
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
@@ -93,9 +93,7 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     identically on the codespace, up to a global sign); any excusal marks
     the code as degenerate.  Syndromes are read off ``code.syndrome_table``.
     """
-    report = validate(code)
-    if not report.ok:
-        raise InvalidCodeError(report)
+    _require_valid(code)
     n = code.n
     # Error index 0 is the identity, 3i + f + 1 is factor f on qubit i:
     # the canonical order of enumerate_errors(n, 1).
@@ -145,9 +143,7 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
     exactly when the XOR over all but the last qubit equals the last
     qubit's entry.
     """
-    report = validate(code)
-    if not report.ok:
-        raise InvalidCodeError(report)
+    _require_valid(code)
     n = code.n
     if max_weight > n:
         raise ValueError(f"max weight {max_weight} exceeds qubit count {n}")

@@ -9,6 +9,7 @@ elimination.  They exist to cross-check the fast implementation.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -357,3 +358,20 @@ def reference_kl_check(code: StabilizerCode, errors, tol: float = 1e-10) -> KLRe
             max_deviation = max(max_deviation, float(np.max(np.abs(gram - c_ab * eye))))
     rank = int(np.linalg.matrix_rank(c_matrix))
     return KLReport(c_matrix, max_deviation, max_deviation < tol, rank, rank == m, tol)
+
+
+def fail_distance3_on(monkeypatch, n: int) -> None:
+    """Make the pasting module's ``verify_distance3`` report a collision
+    between X1 and Z1 on every n-qubit code, and pass other codes through."""
+    import qpaste.pasting as pasting
+
+    real = pasting.verify_distance3
+
+    def failing(code, allow_degenerate=False):
+        report = real(code, allow_degenerate)
+        if code.n != n:
+            return report
+        x1, _, z1 = enumerate_errors(n, 1).members[1:4]
+        return replace(report, ok=False, witness=(x1, z1))
+
+    monkeypatch.setattr(pasting, "verify_distance3", failing)

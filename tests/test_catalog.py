@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from qpaste import catalog
+from qpaste import catalog, pasting
 from qpaste.catalog import _mixer_images, builtin, entries, hamming_class, perfect
 from qpaste.files import dumps
 from qpaste.pauli import format_pauli
@@ -232,3 +232,36 @@ def test_threads_racing_a_first_build_get_equal_codes():
         t.join()
     assert all(code == expected for code in results)
     assert perfect(3) is perfect(3)
+
+
+def test_cold_perfect_checks_each_pasted_code_once(monkeypatch):
+    real_paste, real_locate = catalog.paste, pasting.locate_xz_generators
+    inputs, pasted, located, checked = [], [], [], []
+
+    def recording_paste(larger, smaller):
+        inputs.extend((larger, smaller))
+        pasted.append(real_paste(larger, smaller))
+        return pasted[-1]
+
+    def recording_locate(code):
+        located.append(code)
+        return real_locate(code)
+
+    def recording_distance3(code, *args, **kwargs):
+        checked.append(code)
+        return verify_distance3(code, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "paste", recording_paste)
+    monkeypatch.setattr(pasting, "locate_xz_generators", recording_locate)
+    for module in (catalog, pasting):
+        if getattr(module, "verify_distance3", None) is verify_distance3:
+            monkeypatch.setattr(module, "verify_distance3", recording_distance3)
+    _clear_catalog_caches()
+    perfect(6, j_max=6)
+    assert len(pasted) == 5
+    assert len(located) == 5
+    for code in pasted:
+        # Once as its own paste's output, and once as each later paste's input.
+        assert sum(c is code for c in checked) == 1 + sum(c is code for c in inputs)
+    # code5, hamming_class(4, 6, 8, 10, 12), and per paste its two inputs and its output.
+    assert len(checked) == 1 + 5 + 3 * 5

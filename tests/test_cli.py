@@ -8,6 +8,8 @@ from qpaste.cli import main
 from qpaste.files import dumps
 from qpaste.verification import enumerate_errors
 
+from helpers import fail_distance3_on
+
 
 @pytest.fixture
 def stab_files(tmp_path):
@@ -128,6 +130,17 @@ def test_paste_precondition_failure(stab_files, capsys):
     err = capsys.readouterr().err
     assert "error: pasting preconditions failed: xz_rows" in err
     assert "check xz_rows: FAIL" in err
+
+
+def test_paste_verification_failure_is_internal(stab_files, monkeypatch, capsys):
+    fail_distance3_on(monkeypatch, 13)
+    assert main(["paste", stab_files["code8"], stab_files["code5"], "--augment", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: pasted code failed the distance check: collision "
+        "between XIIIIIIIIIIII and ZIIIIIIIIIIII\n"
+    )
 
 
 def test_paste_to_stdout(stab_files, capsys):

@@ -19,6 +19,7 @@ from qpaste.pasting import (
     CHECK_XZ_ROWS,
     PaddedCode,
     PasteError,
+    PasteVerificationError,
     augment,
     can_paste,
     locate_xz_generators,
@@ -27,7 +28,7 @@ from qpaste.pasting import (
 from qpaste.stabilizer import StabilizerCode, group_equal, syndrome, validate
 from qpaste.verification import verify_distance3
 
-from helpers import degenerate_code6, paste_sample, shuffled_qubits
+from helpers import degenerate_code6, fail_distance3_on, paste_sample, shuffled_qubits
 
 
 def test_augment_append():
@@ -108,6 +109,16 @@ def test_paste_reproduces_code13():
         "XZIYIYXZIZXXZ",
         "IIIIIIIIZIZXX",
     ]
+
+
+def test_paste_refuses_an_output_that_fails_its_distance_check(monkeypatch):
+    fail_distance3_on(monkeypatch, 13)
+    with pytest.raises(PasteVerificationError) as excinfo:
+        paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    assert str(excinfo.value) == (
+        "pasted code failed the distance check: collision between "
+        "XIIIIIIIIIIII and ZIIIIIIIIIIII"
+    )
 
 
 def test_paste_deterministic():
