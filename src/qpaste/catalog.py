@@ -21,9 +21,9 @@ from functools import cache
 from typing import Sequence
 
 from .pauli import PauliOperator, parse_pauli
-from .stabilizer import StabilizerCode, _transpose, validate
-from .pasting import paste
-from .verification import is_perfect, perfect_length, verify_distance3
+from .stabilizer import StabilizerCode, _transpose
+from .pasting import _prove_one_error, paste
+from .verification import is_perfect, perfect_length
 
 _CODE5_ROWS = (
     "XXZIZ",
@@ -93,14 +93,7 @@ def _shaped(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCod
 
 def _checked(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
     """Bail out if a catalog code fails its own correctness conditions."""
-    _shaped(code, n, a, context)
-    report = validate(code)
-    if not report.ok:
-        raise RuntimeError(f"{context}: validation failed: {report.violations}")
-    d3 = verify_distance3(code, allow_degenerate=False)
-    if not d3.ok:
-        raise RuntimeError(f"{context}: weight-1 syndromes not distinct: {d3.witness}")
-    return code
+    return _prove_one_error(_shaped(code, n, a, context), RuntimeError, context)
 
 
 def builtin(name: str) -> StabilizerCode:

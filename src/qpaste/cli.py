@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 precondition or
-diagnostic failure (including usage errors), 3 I/O or parse error.
+diagnostic failure (including usage errors), 3 I/O or parse error
+(undecodable input included).
 Reports are byte-deterministic for fixed inputs; '-' means standard
 input/output.
 """
@@ -38,7 +39,9 @@ EXIT_IO = 3
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    # Undecodable bytes survive as lone surrogates, as standard input keeps them
+    # under a C locale, and the parser rejects them with a line number.
+    return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -58,7 +61,7 @@ def _perfect_tag(status: BoundStatus) -> str:
 
 def _one_error_set(n: int) -> Iterator[PauliOperator]:
     """The weight <= 1 errors, enumerated only once the KL check reads them."""
-    yield from enumerate_errors(n, 1).members
+    yield from enumerate_errors(n, 1)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -171,7 +174,7 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
         return EXIT_PRECONDITION
     code = padded.base
     keys = chain([0], *code.syndrome_table)
-    for e, key in zip(enumerate_errors(code.n, 1).members, keys):
+    for e, key in zip(enumerate_errors(code.n, 1), keys):
         bits = "".join(str((key >> j) & 1) for j in range(code.a))
         print(f"{format_pauli(e)} {bits}")
     return EXIT_OK
@@ -262,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (files.StabilizerFileError, PauliParseError, OSError) as exc:
+    except (files.StabilizerFileError, PauliParseError, OSError, UnicodeDecodeError) as exc:
         _fail(str(exc))
         return EXIT_IO
     except PasteError as exc:

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pauli import PauliOperator
 from .stabilizer import StabilizerCode, _require_valid
-from .verification import ErrorSet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,8 +90,8 @@ class Codespace:
 
 def _sparse_codewords(
     code: StabilizerCode, n_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The codeword basis as (row, value) per index, plus each index's coset.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The codeword basis as (row, value) per index, the coset minima and the X-span.
 
     basis[row[c], c] == value[c] whenever row[c] < 2^k.  The projector
     prod_i (I + M_i)/2 maps |b> into the span of b's coset of the
@@ -104,8 +103,8 @@ def _sparse_codewords(
     make them orthogonal without Gram-Schmidt and leave at most one nonzero
     per index.  Each discarded coset gets a row of its own from 2^k up, in
     the same order, and value 0, so ``row`` numbers the cosets one to one.
-    The third array labels each index by its coset's smallest index; the
-    X-span itself is the coset labelled 0.
+    The third array lists each coset's smallest index in increasing order;
+    the fourth is the X-span itself, the coset of 0, in increasing order.
     """
     import numpy as np
 
@@ -142,7 +141,7 @@ def _sparse_codewords(
     position[np.concatenate((reps[kept], reps[~kept]))] = np.arange(len(reps))
     norm = norm[label]
     value = np.divide(v, norm, out=np.zeros(dim), where=norm > _DISCARD_NORM)
-    return position[label], value, label
+    return position[label], value, reps, np.flatnonzero(label == 0)
 
 
 def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace:
@@ -153,7 +152,7 @@ def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace
     """
     import numpy as np
 
-    row, value, _ = _sparse_codewords(code, n_cap)
+    row, value, _, _ = _sparse_codewords(code, n_cap)
     k = code.n - code.a
     basis = np.zeros((1 << k, len(row)))
     on = np.flatnonzero(row < len(basis))
@@ -180,7 +179,7 @@ class KLReport:
 
 def kl_check(
     code: StabilizerCode,
-    errors: ErrorSet | Sequence[PauliOperator] | Iterable[PauliOperator],
+    errors: Iterable[PauliOperator],
     tol: float = 1e-10,
     n_cap: int = DEFAULT_QUBIT_CAP,
 ) -> KLReport:
@@ -202,8 +201,8 @@ def kl_check(
 
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    row, value, label = _sparse_codewords(code, n_cap)
-    members = tuple(errors.members if isinstance(errors, ErrorSet) else errors)
+    row, value, reps, span = _sparse_codewords(code, n_cap)
+    members = tuple(errors)
     if not members:
         raise ValueError("need at least one error operator")
     for e in members:
@@ -214,8 +213,6 @@ def kl_check(
     m = len(members)
     # Coset t of the X-span is reps[t] ^ span.  E_a W is nonzero on coset t
     # only in row images[t, a], the row of the coset that x_a maps t onto.
-    span = np.flatnonzero(label == 0)
-    reps = np.flatnonzero(label == np.arange(dim))
     xs = np.array([e.x for e in members], dtype=np.int64)
     images = row[reps.reshape(-1, 1) ^ xs]
     live = (images < dim_k).any(axis=1)

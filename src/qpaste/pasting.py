@@ -170,6 +170,19 @@ class PasteVerificationError(RuntimeError):
     that satisfy the preconditions, kept as a loud safety net."""
 
 
+def _prove_one_error(code: StabilizerCode, error: type, subject: str) -> StabilizerCode:
+    """Return ``code`` if it is valid with 3n+1 distinct weight-<=1 syndromes,
+    else raise ``error`` naming ``subject``."""
+    report = validate(code)
+    if not report.ok:
+        raise error(f"{subject} failed validation: {report.violations}")
+    d3 = verify_distance3(code, allow_degenerate=False)
+    if not d3.ok:
+        e, f = d3.witness
+        raise error(f"{subject} failed the distance check: collision between {e} and {f}")
+    return code
+
+
 def _check_t(t: int) -> None:
     if t != 1:
         raise ValueError(
@@ -291,13 +304,4 @@ def paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> StabilizerC
     extension = (identity(small.n),) * 2 + small.rows
     result = StabilizerCode([tensor(b, s) for b, s in zip(filled, extension)])
 
-    report = validate(result)
-    if not report.ok:
-        raise PasteVerificationError(f"pasted code failed validation: {report.violations}")
-    d3 = verify_distance3(result, allow_degenerate=False)
-    if not d3.ok:
-        e, f = d3.witness
-        raise PasteVerificationError(
-            f"pasted code failed the distance check: collision between {e} and {f}"
-        )
-    return result
+    return _prove_one_error(result, PasteVerificationError, "pasted code")

@@ -244,6 +244,12 @@ def _replay(code: StabilizerCode, combination: int) -> PauliOperator:
     return acc
 
 
+def _in_span(code: StabilizerCode, bits: int) -> bool:
+    """Whether packed ``bits`` lie in the generators' GF(2) span: for a valid code
+    (no -I in its group), whether the operator or its negative is a member."""
+    return code._elim.solve(bits) is not None
+
+
 def contains(code: StabilizerCode, p: PauliOperator) -> bool:
     """Group membership, sign included.
 

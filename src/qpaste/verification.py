@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterator
 
-from .pauli import _FACTOR_BITS, PauliOperator, adjoint, identity, multiply
-from .stabilizer import StabilizerCode, _pack, _require_valid
+from .pauli import _FACTOR_BITS, PauliOperator, identity
+from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
@@ -51,6 +51,9 @@ class ErrorSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __iter__(self) -> Iterator[PauliOperator]:
+        return iter(self.members)
 
 
 def enumerate_errors(n: int, t: int) -> ErrorSet:
@@ -89,7 +92,7 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     """Check that all 3n+1 weight-<=1 errors have distinct syndromes.
 
     With ``allow_degenerate`` a colliding pair (E, F) is excused when
-    adjoint(E).F lies in the group up to sign (the two errors then act
+    E†F lies in the group up to sign (the two errors then act
     identically on the codespace, up to a global sign); any excusal marks
     the code as degenerate.  Syndromes are read off ``code.syndrome_table``.
     """
@@ -107,7 +110,7 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
         if first == index:
             continue
         pair = (_weight1_error(n, first), _weight1_error(n, index))
-        if allow_degenerate and _in_signed_group(code, multiply(adjoint(pair[0]), pair[1])):
+        if allow_degenerate and _in_span(code, _pack(pair[0]) ^ _pack(pair[1])):
             excused.append(pair)
             continue
         return DistanceReport(False, bool(excused), len(seen), len(keys), pair, tuple(excused))
@@ -120,15 +123,6 @@ def _weight1_error(n: int, index: int) -> PauliOperator:
         return identity(n)
     qubit, factor = divmod(index - 1, 3)
     return _operator(n, (qubit,), (factor,))
-
-
-def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
-    """Whether p or -p is in the group; either acts as a scalar on the codespace.
-
-    A valid group does not contain -I, so it holds exactly one sign of each
-    element of its GF(2) span, and p's bits being in that span is enough.
-    """
-    return code._elim.solve(_pack(p)) is not None
 
 
 def distance(code: StabilizerCode, max_weight: int) -> int | None:
@@ -164,7 +158,7 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
                     for f, t in enumerate(table[last]):
                         if s == t:
                             p = _operator(n, head + (last,), factors + (f,))
-                            if not _in_signed_group(code, p):
+                            if not _in_span(code, _pack(p)):
                                 return w
     return None
 
@@ -181,14 +175,18 @@ class BoundStatus(enum.Enum):
 def hamming_bound(n: int, k: int) -> BoundStatus:
     """Compare (3n+1) * 2^k against 2^n with exact integers.
 
-    SATURATED (equality) identifies a perfect one-error code.
+    SATURATED (equality) identifies a perfect one-error code.  The test is
+    3n+1 against 2^(n-k), which is built only when it has at most as many
+    bits as 3n+1; a longer power of two is larger, so memory stays O(log n).
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     if not 0 <= k <= n:
         raise ValueError(f"encoded qubit count {k} out of range for n={n}")
-    lhs = (3 * n + 1) << k
-    rhs = 1 << n
+    lhs = 3 * n + 1
+    if n - k > lhs.bit_length():
+        return BoundStatus.SATISFIED
+    rhs = 1 << (n - k)
     if lhs > rhs:
         return BoundStatus.VIOLATED
     if lhs == rhs:

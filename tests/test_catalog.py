@@ -17,7 +17,7 @@ from qpaste.verification import (
     verify_distance3,
 )
 
-from helpers import random_mixer, reference_mixer_images
+from helpers import fail_distance3_on, random_mixer, reference_mixer_images
 
 CODE5_ROWS = ["XXZIZ", "ZXXZI", "IZXXZ", "ZIZXX"]
 CODE8_ROWS = ["XXXXXXXX", "ZZZZZZZZ", "XIXIZYZY", "XIYZXIYZ", "XZIYIYXZ"]
@@ -99,6 +99,22 @@ def test_hamming_class_custom_mixer():
         code = hamming_class(m, mixer=random_mixer(rng, m))
         assert (code.n, code.a) == (1 << m, m + 2)
         assert verify_distance3(code).ok
+
+
+def test_hamming_class_rejects_mixer_of_wrong_size():
+    with pytest.raises(ValueError, match=r"^mixer needs 4 rows, got 3$"):
+        hamming_class(4, mixer=[1, 2, 4])
+
+
+def test_catalog_check_is_the_paste_output_check(monkeypatch):
+    # Built codes go through the check paste runs on its output, wording included.
+    fail_distance3_on(monkeypatch, 16)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^hamming_class\(4\) failed the distance check: "
+        r"collision between XI{15} and ZI{15}$",
+    ):
+        hamming_class(4, mixer=random_mixer(random.Random(5), 4))
 
 
 def test_hamming_class_rejects_singular_mixer():

@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -241,13 +242,57 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 3
 
 
+def test_file_with_undecodable_byte_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "ff.stab"
+    bad.write_bytes(b"XXXX\nZZ\xffZ\n")
+    assert main(["verify", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 2: invalid character '\\udcff' at position 3\n"
+    )
+
+
+def test_strict_stdin_with_undecodable_byte(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"XX\nZ\xffZ\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["verify", "-"]) == 3
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_undecodable_byte_in_comment_is_ignored(tmp_path, capsys):
+    path = tmp_path / "commented.stab"
+    path.write_bytes(b"# \xff\n" + dumps(builtin("code5")).encode())
+    assert main(["verify", str(path)]) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+def test_syndromes_refuses_padded_file(tmp_path, capsys):
+    padded = tmp_path / "padded.stab"
+    padded.write_text("XXXX\nIIII\nZZZZ\n")
+    assert main(["syndromes", str(padded)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: placeholder identity rows present; the syndrome table needs a plain code\n"
+    )
+
+
+def test_verify_kl_failure(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("XXXX\nZZZZ\n"))
+    assert main(["verify", "-", "--kl"]) == 1
+    out = capsys.readouterr().out
+    assert "\nkl: FAIL (C rank 13/13, max deviation 1.00e+00)\nresult: fail\n" in out
+
+
+def test_family_hamming_without_default_polynomial(capsys):
+    assert main(["family", "hamming", "13"]) == 2
+    assert capsys.readouterr().err == "error: no default mixing polynomial for degree 13\n"
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
 
 def test_stdin_verify(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(dumps(builtin("code5"))))
     assert main(["verify", "-"]) == 0
     assert "n=5 a=4 k=1" in capsys.readouterr().out
@@ -274,8 +319,6 @@ def test_pipe_family_perfect_into_verify():
 
 
 def test_verify_excuses_collisions_in_minus_group(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO("XX\nZZ\n"))
     assert main(["verify", "-"]) == 0
     out = capsys.readouterr().out

@@ -17,6 +17,7 @@ from qpaste.stabilizer import (
     canonical_generators,
     contains,
     group_equal,
+    Syndrome,
     parameters,
     syndrome,
     validate,
@@ -143,6 +144,8 @@ def test_syndrome_prefix_convention():
 def test_syndrome_length_mismatch():
     with pytest.raises(ValueError, match="qubits"):
         syndrome(builtin("code5"), identity(4))
+    with pytest.raises(ValueError, match="syndrome lengths differ"):
+        Syndrome((0, 1)) ^ Syndrome((1,))
 
 
 def test_contains_group_products():
@@ -161,6 +164,8 @@ def test_contains_rejects_nonmembers():
     code = builtin("code13")
     assert not contains(code, parse_pauli("X" + "I" * 12))
     assert contains(builtin("code5"), parse_pauli("XXZIZ"))
+    with pytest.raises(ValueError, match="operator acts on 4 qubits, code has 5"):
+        contains(builtin("code5"), identity(4))
 
 
 def test_contains_implies_zero_syndrome():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,7 @@ def test_error_counts():
 def test_error_order_frozen():
     members = [format_pauli(e) for e in enumerate_errors(2, 1).members]
     assert members == ["II", "XI", "YI", "ZI", "IX", "IY", "IZ"]
+    assert list(enumerate_errors(2, 1)) == list(enumerate_errors(2, 1).members)
     weight2 = [format_pauli(e) for e in enumerate_errors(2, 2).members[7:10]]
     assert weight2 == ["XX", "XY", "XZ"]
 
@@ -42,6 +44,8 @@ def test_error_range_checks():
         enumerate_errors(3, 4)
     with pytest.raises(ValueError):
         enumerate_errors(3, -1)
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        enumerate_errors(0, 0)
 
 
 def test_verify_code13():
@@ -187,8 +191,34 @@ def test_bound_range_checks():
         hamming_bound(5, 6)
     with pytest.raises(ValueError):
         hamming_bound(5, -1)
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        hamming_bound(0, 0)
     with pytest.raises(ValueError):
         best_k(0)
+
+
+def test_hamming_bound_matches_big_integer_formula():
+    for n in range(1, 301):
+        for k in range(n + 1):
+            lhs, rhs = (3 * n + 1) << k, 1 << n
+            want = (
+                BoundStatus.VIOLATED
+                if lhs > rhs
+                else BoundStatus.SATURATED if lhs == rhs else BoundStatus.SATISFIED
+            )
+            assert hamming_bound(n, k) is want, (n, k)
+
+
+def test_hamming_bound_builds_no_power_of_two_near_2_to_n():
+    n = 10**7
+    for k in (0, best_k(n), n):
+        tracemalloc.start()
+        try:
+            hamming_bound(n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (k, peak)
 
 
 def test_best_k_closed_form_matches_doubling_loop():
