@@ -35,12 +35,20 @@ EXIT_VERIFY = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
 
+# `bound n k` prints both sides in decimal up to this many digits (CPython's
+# default int-to-str limit), and past it only their formulas.
+_MAX_DECIMAL_DIGITS = 4300
+
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     # Undecodable bytes survive as lone surrogates, as standard input keeps them
     # under a C locale, and the parser rejects them with a line number.
+    if path == "-":
+        try:
+            return sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            # A strict stdin: the error holds the bytes it read; decode them as a file.
+            return exc.object.decode(exc.encoding, "surrogateescape")
     return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
 
 
@@ -109,7 +117,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"distance: {shown} (searched weight <= {args.distance})")
     if args.kl:
         kl = kl_check(code, _one_error_set(code.n))
-        verdict = "pass" if kl.passed and kl.full_rank else "FAIL"
+        # rank(C) counts the errors' classes up to +-S; when distance3 passes,
+        # those are its distinct syndromes, degenerate codes included.
+        verdict = "pass" if kl.passed and kl.rank == d3.distinct_count else "FAIL"
         size = kl.c_matrix.shape[0]
         print(
             f"kl: {verdict} (C rank {kl.rank}/{size}, max deviation "
@@ -160,7 +170,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     tag = _perfect_tag(status)
     lhs = (3 * n + 1) << args.k
     rhs = 1 << n
-    print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
+    if max(lhs, rhs) < 10**_MAX_DECIMAL_DIGITS:
+        print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
+    else:
+        print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} vs 2^{n}")
     return EXIT_OK
 
 

@@ -170,19 +170,6 @@ class PasteVerificationError(RuntimeError):
     that satisfy the preconditions, kept as a loud safety net."""
 
 
-def _prove_one_error(code: StabilizerCode, error: type, subject: str) -> StabilizerCode:
-    """Return ``code`` if it is valid with 3n+1 distinct weight-<=1 syndromes,
-    else raise ``error`` naming ``subject``."""
-    report = validate(code)
-    if not report.ok:
-        raise error(f"{subject} failed validation: {report.violations}")
-    d3 = verify_distance3(code, allow_degenerate=False)
-    if not d3.ok:
-        e, f = d3.witness
-        raise error(f"{subject} failed the distance check: collision between {e} and {f}")
-    return code
-
-
 def _check_t(t: int) -> None:
     if t != 1:
         raise ValueError(
@@ -193,26 +180,35 @@ def _check_t(t: int) -> None:
         )
 
 
-def _side_checks(name_valid: str, name_nondeg: str, padded: PaddedCode) -> list[PasteCheck]:
-    checks = []
-    report = validate(padded.base)
-    if report.ok:
-        checks.append(PasteCheck(name_valid, True, f"{padded.base.a} generators valid"))
-        d3 = verify_distance3(padded.base, allow_degenerate=False)
-        if d3.ok:
-            detail = f"{d3.distinct_count} distinct weight-<=1 syndromes"
-            checks.append(PasteCheck(name_nondeg, True, detail))
-        else:
-            e, f = d3.witness
-            detail = f"syndrome collision between {e} and {f}"
-            checks.append(PasteCheck(name_nondeg, False, detail))
-    else:
+def _one_error_checks(
+    code: StabilizerCode, name_valid: str, name_nondeg: str
+) -> list[PasteCheck]:
+    """Whether ``code`` is valid with 3n+1 distinct weight-<=1 syndromes, as
+    two named checks; the second is not evaluated when the first fails."""
+    report = validate(code)
+    if not report.ok:
         detail = "; ".join(str(v) for v in report.violations)
-        checks.append(PasteCheck(name_valid, False, detail))
-        checks.append(
-            PasteCheck(name_nondeg, False, "not evaluated (validation failed)")
-        )
-    return checks
+        skipped = "not evaluated (validation failed)"
+        return [PasteCheck(name_valid, False, detail), PasteCheck(name_nondeg, False, skipped)]
+    d3 = verify_distance3(code, allow_degenerate=False)
+    if d3.ok:
+        detail = f"{d3.distinct_count} distinct weight-<=1 syndromes"
+    else:
+        e, f = d3.witness
+        detail = f"syndrome collision between {e} and {f}"
+    return [
+        PasteCheck(name_valid, True, f"{code.a} generators valid"),
+        PasteCheck(name_nondeg, d3.ok, detail),
+    ]
+
+
+def _prove_one_error(code: StabilizerCode, error: type, subject: str) -> StabilizerCode:
+    """Return ``code`` if it passes ``_one_error_checks``, else raise
+    ``error`` naming ``subject`` and the first failed check."""
+    for check in _one_error_checks(code, "validation", "the distance check"):
+        if not check.ok:
+            raise error(f"{subject} failed {check.name}: {check.detail}")
+    return code
 
 
 def _plan(
@@ -223,9 +219,8 @@ def _plan(
     _check_t(t)
     big = _as_padded(larger)
     small = _as_padded(smaller)
-    checks: list[PasteCheck] = []
-    checks.extend(_side_checks(CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE, big))
-    checks.extend(_side_checks(CHECK_SMALLER_VALID, CHECK_SMALLER_NONDEGENERATE, small))
+    checks = _one_error_checks(big.base, CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE)
+    checks += _one_error_checks(small.base, CHECK_SMALLER_VALID, CHECK_SMALLER_NONDEGENERATE)
 
     located = None
     if any(big.placeholder_flags[:2]):

@@ -17,7 +17,7 @@ import numpy as np
 from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import KLReport
 from qpaste.pauli import PauliOperator, adjoint, commutes, multiply, parse_pauli
-from qpaste.stabilizer import StabilizerCode, contains, syndrome
+from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains, syndrome
 from qpaste.pasting import PaddedCode, augment
 from qpaste.verification import DistanceReport, enumerate_errors
 from qpaste import gf2
@@ -375,3 +375,20 @@ def fail_distance3_on(monkeypatch, n: int) -> None:
         return replace(report, ok=False, witness=(x1, z1))
 
     monkeypatch.setattr(pasting, "verify_distance3", failing)
+
+
+def fail_validation_on(monkeypatch, n: int) -> None:
+    """Make the pasting module's ``validate`` report two violations on every
+    n-qubit code, and pass other codes through."""
+    import qpaste.pasting as pasting
+
+    real = pasting.validate
+    violations = (
+        Violation("anticommute", (1, 3), "rows anticommute"),
+        Violation("rank", (2,), "row depends on earlier rows"),
+    )
+
+    def failing(code):
+        return ValidationReport(False, violations) if code.n == n else real(code)
+
+    monkeypatch.setattr(pasting, "validate", failing)

@@ -17,7 +17,12 @@ from qpaste.verification import (
     verify_distance3,
 )
 
-from helpers import fail_distance3_on, random_mixer, reference_mixer_images
+from helpers import (
+    fail_distance3_on,
+    fail_validation_on,
+    random_mixer,
+    reference_mixer_images,
+)
 
 CODE5_ROWS = ["XXZIZ", "ZXXZI", "IZXXZ", "ZIZXX"]
 CODE8_ROWS = ["XXXXXXXX", "ZZZZZZZZ", "XIXIZYZY", "XIYZXIYZ", "XZIYIYXZ"]
@@ -112,7 +117,17 @@ def test_catalog_check_is_the_paste_output_check(monkeypatch):
     with pytest.raises(
         RuntimeError,
         match=r"^hamming_class\(4\) failed the distance check: "
-        r"collision between XI{15} and ZI{15}$",
+        r"syndrome collision between XI{15} and ZI{15}$",
+    ):
+        hamming_class(4, mixer=random_mixer(random.Random(5), 4))
+
+
+def test_catalog_validation_failure_is_the_paste_output_wording(monkeypatch):
+    fail_validation_on(monkeypatch, 16)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^hamming_class\(4\) failed validation: anticommute \(1, 3\): rows "
+        r"anticommute; rank \(2,\): row depends on earlier rows$",
     ):
         hamming_class(4, mixer=random_mixer(random.Random(5), 4))
 

@@ -9,7 +9,7 @@ from qpaste.cli import main
 from qpaste.files import dumps
 from qpaste.verification import enumerate_errors
 
-from helpers import fail_distance3_on
+from helpers import degenerate_code6, fail_distance3_on, shor_code9
 
 
 @pytest.fixture
@@ -139,8 +139,8 @@ def test_paste_verification_failure_is_internal(stab_files, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: internal: pasted code failed the distance check: collision "
-        "between XIIIIIIIIIIII and ZIIIIIIIIIIII\n"
+        "error: internal: pasted code failed the distance check: syndrome "
+        "collision between XIIIIIIIIIIII and ZIIIIIIIIIIII\n"
     )
 
 
@@ -216,6 +216,28 @@ def test_bound_with_k(capsys):
     assert capsys.readouterr().out.startswith("violated (not perfect)")
 
 
+def test_bound_prints_decimals_up_to_the_digit_limit(capsys):
+    assert main(["bound", "14000", "13980"]) == 0
+    lhs, rhs = 42001 << 13980, 1 << 14000
+    assert capsys.readouterr().out == (
+        f"satisfied (not perfect): (3*14000+1)*2^13980 = {lhs} vs 2^14000 = {rhs}\n"
+    )
+    assert main(["bound", "20000"]) == 0
+    assert capsys.readouterr().out == "best k = 19984 (not perfect)\n"
+    assert main(["bound", "20000", "19980"]) == 0
+    out = capsys.readouterr().out
+    assert out == "satisfied (not perfect): (3*20000+1)*2^19980 vs 2^20000\n"
+    # The larger side has 4301 digits here and 4300 one k below.
+    assert main(["bound", "14284", "14269"]) == 0
+    out = capsys.readouterr().out
+    assert out == "violated (not perfect): (3*14284+1)*2^14269 vs 2^14284\n"
+    assert main(["bound", "14284", "14268"]) == 0
+    lhs, rhs = 42853 << 14268, 1 << 14284
+    assert capsys.readouterr().out == (
+        f"satisfied (not perfect): (3*14284+1)*2^14268 = {lhs} vs 2^14284 = {rhs}\n"
+    )
+
+
 def test_bound_bad_k(capsys):
     assert main(["bound", "5", "9"]) == 2
 
@@ -255,7 +277,18 @@ def test_strict_stdin_with_undecodable_byte(monkeypatch, capsys):
     stdin = io.TextIOWrapper(io.BytesIO(b"XX\nZ\xffZ\n"), encoding="utf-8", errors="strict")
     monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["verify", "-"]) == 3
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    err = capsys.readouterr().err
+    assert err == "error: line 2: invalid character '\\udcff' at position 2\n"
+
+
+def test_strict_stdin_with_undecodable_byte_in_comment(monkeypatch, capsys):
+    data = b"# \xff\n" + dumps(builtin("code5")).encode()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["verify", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("result: pass\n")
 
 
 def test_undecodable_byte_in_comment_is_ignored(tmp_path, capsys):
@@ -281,6 +314,26 @@ def test_verify_kl_failure(monkeypatch, capsys):
     assert main(["verify", "-", "--kl"]) == 1
     out = capsys.readouterr().out
     assert "\nkl: FAIL (C rank 13/13, max deviation 1.00e+00)\nresult: fail\n" in out
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (dumps(shor_code9()), "kl: pass (C rank 22/28, max deviation "),
+        (dumps(degenerate_code6()), "kl: pass (C rank 18/19, max deviation "),
+        ("XX\nZZ\n", "kl: pass (C rank 4/7, max deviation "),
+    ],
+    ids=["shor9", "degenerate6", "xx_zz"],
+)
+def test_verify_kl_passes_degenerate_codes(text, line, tmp_path, capsys):
+    # The KL line agrees with the distance3 line, which excuses these collisions.
+    path = tmp_path / "code.stab"
+    path.write_text(text)
+    assert main(["verify", str(path), "--kl"]) == 0
+    out = capsys.readouterr().out
+    assert ", degenerate, " in out
+    assert f"\n{line}" in out
+    assert out.endswith("result: pass\n")
 
 
 def test_family_hamming_without_default_polynomial(capsys):

@@ -28,7 +28,13 @@ from qpaste.pasting import (
 from qpaste.stabilizer import StabilizerCode, group_equal, syndrome, validate
 from qpaste.verification import verify_distance3
 
-from helpers import degenerate_code6, fail_distance3_on, paste_sample, shuffled_qubits
+from helpers import (
+    degenerate_code6,
+    fail_distance3_on,
+    fail_validation_on,
+    paste_sample,
+    shuffled_qubits,
+)
 
 
 def test_augment_append():
@@ -116,8 +122,18 @@ def test_paste_refuses_an_output_that_fails_its_distance_check(monkeypatch):
     with pytest.raises(PasteVerificationError) as excinfo:
         paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
     assert str(excinfo.value) == (
-        "pasted code failed the distance check: collision between "
+        "pasted code failed the distance check: syndrome collision between "
         "XIIIIIIIIIIII and ZIIIIIIIIIIII"
+    )
+
+
+def test_paste_refuses_an_output_that_fails_validation(monkeypatch):
+    fail_validation_on(monkeypatch, 13)
+    with pytest.raises(PasteVerificationError) as excinfo:
+        paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    assert str(excinfo.value) == (
+        "pasted code failed validation: anticommute (1, 3): rows anticommute; "
+        "rank (2,): row depends on earlier rows"
     )
 
 

@@ -47,9 +47,12 @@ def small_codes(draw) -> StabilizerCode:
 
 def assert_routes_agree(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> None:
     kl = kl_check(code, enumerate_errors(code.n, 1), n_cap=n_cap)
-    degenerate_pass = verify_distance3(code, allow_degenerate=True).ok
+    d3 = verify_distance3(code, allow_degenerate=True)
     no_short_logical = distance(code, min(2, code.n)) is None
-    assert kl.passed == degenerate_pass == no_short_logical
+    assert kl.passed == d3.ok == no_short_logical
+    if kl.passed:
+        # One rank of C per class of errors equal up to +-S, i.e. per distinct syndrome.
+        assert kl.rank == d3.distinct_count
     assert verify_distance3(code).ok == (kl.passed and kl.full_rank)
 
 

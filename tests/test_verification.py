@@ -156,6 +156,13 @@ def test_cross_check_distance3_formulations():
     assert distance(bad, 2) == 1
 
 
+def test_perfect_family_saturates_the_bound():
+    # The catalog relies on this identity instead of testing each perfect code.
+    for j in range(1, 65):
+        n = perfect_length(j)
+        assert is_perfect(n, n - 2 * j - 2)
+
+
 def test_hamming_bound_examples():
     assert hamming_bound(13, 7) is BoundStatus.SATISFIED
     assert not is_perfect(13, 7)
