@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -38,6 +38,7 @@ EXIT_IO = 3
 # `bound n k` prints both sides in decimal up to this many digits (CPython's
 # default int-to-str limit), and past it only their formulas.
 _MAX_DECIMAL_DIGITS = 4300
+_DECIMAL_LIMIT = 10**_MAX_DECIMAL_DIGITS
 
 
 def _read_text(path: str) -> str:
@@ -168,12 +169,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
         return EXIT_OK
     status = hamming_bound(n, args.k)
     tag = _perfect_tag(status)
-    lhs = (3 * n + 1) << args.k
-    rhs = 1 << n
-    if max(lhs, rhs) < 10**_MAX_DECIMAL_DIGITS:
-        print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
-    else:
-        print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} vs 2^{n}")
+    # Bit lengths rule out a side too long to print before either side is built.
+    if max((3 * n + 1).bit_length() + args.k, n + 1) <= _DECIMAL_LIMIT.bit_length():
+        lhs = (3 * n + 1) << args.k
+        rhs = 1 << n
+        if max(lhs, rhs) < _DECIMAL_LIMIT:
+            print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
+            return EXIT_OK
+    print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} vs 2^{n}")
     return EXIT_OK
 
 
@@ -186,14 +189,16 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
         )
         return EXIT_PRECONDITION
     code = padded.base
-    keys = chain([0], *code.syndrome_table)
-    for e, key in zip(enumerate_errors(code.n, 1), keys):
-        bits = "".join(str((key >> j) & 1) for j in range(code.a))
-        print(f"{format_pauli(e)} {bits}")
+    for e, key in zip(enumerate_errors(code.n, 1), code._syndrome_keys):
+        # Generator 1's bit first: the key's binary digits, reversed.
+        print(f"{format_pauli(e)} {format(key, f'0{code.a}b')[::-1]}")
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged
+    and writes help and usage errors to the streams current at that call."""
     parser = argparse.ArgumentParser(
         prog="qpaste",
         description="Verify, paste and generate one-error stabilizer codes.",

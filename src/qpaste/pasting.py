@@ -46,7 +46,7 @@ class PaddedCode:
         rows = tuple(rows)
         self.n = _check_rows(rows, n, "row")
         self.rows = rows
-        self.placeholder_flags = tuple(r.x == 0 and r.z == 0 for r in rows)
+        self.placeholder_flags = tuple([r.x == 0 and r.z == 0 for r in rows])
         self.pad_count = sum(self.placeholder_flags)
 
     @cached_property
@@ -147,7 +147,7 @@ class PasteDiagnostics:
         return all(c.ok for c in self.checks)
 
     def failed_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.ok)
+        return tuple([c.name for c in self.checks if not c.ok])
 
     def check(self, name: str) -> PasteCheck:
         for c in self.checks:

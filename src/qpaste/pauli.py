@@ -72,12 +72,13 @@ def parse_pauli(text: str) -> PauliOperator:
         body = body[1:]
     if not body:
         raise PauliParseError("empty Pauli string")
-    if body.strip("IXYZ"):
-        for i, ch in enumerate(body):
-            if ch not in _FACTOR_BITS:
-                raise PauliParseError(f"invalid character {ch!r} at position {i + 1}")
+    # Only ASCII bodies encode to one byte per character; translate then drops
+    # the factor letters, so any byte left over is an invalid character.
+    if not body.isascii() or (raw := body.encode()).translate(None, b"IXYZ"):
+        i, ch = next((i, ch) for i, ch in enumerate(body, 1) if ch not in _FACTOR_BITS)
+        raise PauliParseError(f"invalid character {ch!r} at position {i}")
     # Reversed, the text reads most significant qubit first, as int() wants.
-    reverse = body[::-1].encode()
+    reverse = raw[::-1]
     x = int(reverse.translate(_X_DIGITS), 2)
     z = int(reverse.translate(_Z_DIGITS), 2)
     return PauliOperator(len(body), x, z, sign)

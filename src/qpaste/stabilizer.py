@@ -9,12 +9,16 @@ group-level comparisons.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import xor
 from typing import Iterable, Sequence
 
 from . import gf2
 from .pauli import PauliOperator, commutes, identity, multiply, y_count
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class InvalidCodeError(ValueError):
@@ -37,15 +41,21 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     A row's binary text, read as a big-endian int, holds ASCII "0" or "1"
     in byte i for bit i; less the same int for "00...0" it holds 0 or 1.
     Eight such rows shifted by 0..7 add without carries into one int
-    whose byte i is column i.
+    whose byte i holds column i's bits for those rows.  The bytes of
+    eight such groups fill column i's 64-bit lane in the host's byte
+    order, so one native cast reads every column of 64 rows as an int.
     """
     zeros = int.from_bytes(b"0" * width, "big")
     columns = [0] * width
-    for start in range(0, len(rows), 8):
-        acc = 0
-        for j, row in enumerate(rows[start : start + 8]):
-            acc |= (int.from_bytes(format(row, f"0{width}b").encode(), "big") - zeros) << j
-        columns = [c | (b << start) for c, b in zip(columns, acc.to_bytes(width, "little"))]
+    for start in range(0, len(rows), 64):
+        lanes = bytearray(8 * width)
+        for byte, first in enumerate(range(start, min(start + 64, len(rows)), 8)):
+            acc = 0
+            for j, row in enumerate(rows[first : first + 8]):
+                acc |= (int.from_bytes(format(row, f"0{width}b").encode(), "big") - zeros) << j
+            lanes[byte if _LITTLE_ENDIAN else 7 - byte :: 8] = acc.to_bytes(width, "little")
+        block = memoryview(lanes).cast("Q").tolist()
+        columns = block if not start else [c | (b << start) for c, b in zip(columns, block)]
     return columns
 
 
@@ -85,18 +95,30 @@ class StabilizerCode:
         return len(self.generators)
 
     @cached_property
-    def syndrome_table(self) -> tuple[tuple[int, int, int], ...]:
-        """Weight-1 syndromes ``(s_X, s_Y, s_Z)`` of each qubit, as ints.
+    def _syndrome_keys(self) -> list[int]:
+        """Syndrome key of each weight-<=1 error, in ``enumerate_errors(n, 1)``
+        order: 0 for the identity, then X, Y, Z on each qubit in turn.
 
         Generator j is bit j, the bit order of :meth:`Syndrome.as_int`.  X on
         qubit i anticommutes with the generators whose z part has bit i, Z
         with those whose x part has it, and Y = X.Z with exactly one of the
-        two, so the table is the transposed generator matrix.
+        two, so the keys are the transposed generator matrix.
         """
         n = self.n
         columns = _transpose([_pack(g) for g in self.generators], 2 * n)
         x_part, z_part = columns[:n], columns[n:]
-        return tuple([(sz, sx ^ sz, sx) for sx, sz in zip(x_part, z_part)])
+        keys = [0] * (3 * n + 1)
+        keys[1::3] = z_part
+        keys[2::3] = map(xor, x_part, z_part)
+        keys[3::3] = x_part
+        return keys
+
+    @cached_property
+    def syndrome_table(self) -> tuple[tuple[int, int, int], ...]:
+        """Weight-1 syndromes ``(s_X, s_Y, s_Z)`` of each qubit, as ints with
+        generator j at bit j."""
+        keys = self._syndrome_keys
+        return tuple([tuple(keys[i : i + 3]) for i in range(1, len(keys), 3)])
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -159,7 +181,7 @@ class Syndrome:
     def __xor__(self, other: "Syndrome") -> "Syndrome":
         if len(self.bits) != len(other.bits):
             raise ValueError("syndrome lengths differ")
-        return Syndrome(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return Syndrome(tuple([a ^ b for a, b in zip(self.bits, other.bits)]))
 
     def as_int(self) -> int:
         """Bits packed into an int, generator i at bit i."""
@@ -229,7 +251,7 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> Syndrome:
     """
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return Syndrome(tuple(commutes(g, error) for g in code.generators))
+    return Syndrome(tuple([commutes(g, error) for g in code.generators]))
 
 
 def _replay(code: StabilizerCode, combination: int) -> PauliOperator:

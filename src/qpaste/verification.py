@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Iterator
 
 from .pauli import _FACTOR_BITS, PauliOperator, identity
@@ -94,13 +94,14 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     With ``allow_degenerate`` a colliding pair (E, F) is excused when
     E†F lies in the group up to sign (the two errors then act
     identically on the codespace, up to a global sign); any excusal marks
-    the code as degenerate.  Syndromes are read off ``code.syndrome_table``.
+    the code as degenerate.  Syndromes are read off the code's flat table of
+    weight-<=1 syndrome keys.
     """
     _require_valid(code)
     n = code.n
     # Error index 0 is the identity, 3i + f + 1 is factor f on qubit i:
     # the canonical order of enumerate_errors(n, 1).
-    keys = [0, *chain.from_iterable(code.syndrome_table)]
+    keys = code._syndrome_keys
     if len(set(keys)) == len(keys):
         return DistanceReport(True, False, len(keys), len(keys), None, ())
     seen: dict[int, int] = {}
@@ -133,7 +134,7 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
     group when either sign of it is, which is one GF(2) span test.
 
     Candidates are scanned in canonical order; the syndrome of one is the
-    XOR of its qubits' entries in ``code.syndrome_table``, and it is zero
+    XOR of its qubits' weight-1 syndrome keys, and it is zero
     exactly when the XOR over all but the last qubit equals the last
     qubit's entry.
     """
@@ -143,7 +144,9 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
         raise ValueError(f"max weight {max_weight} exceeds qubit count {n}")
     if max_weight < 1:
         raise ValueError(f"max weight {max_weight} out of range 1..{n}")
-    table = code.syndrome_table
+    keys = code._syndrome_keys
+    # Qubit i's X, Y and Z keys; this view lives only as long as the search.
+    table = [keys[i : i + 3] for i in range(1, 3 * n + 1, 3)]
     for w in range(1, max_weight + 1):
         for head in combinations(range(n), w - 1):
             # Syndromes of the 3^(w-1) factor choices on ``head``, in product order.

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -238,6 +240,21 @@ def test_bound_prints_decimals_up_to_the_digit_limit(capsys):
     )
 
 
+def test_bound_far_past_the_digit_limit_builds_neither_side(capsys):
+    main(["bound", "5"])  # the parser is built before tracing starts
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["bound", "100000000", "99999960"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == (
+        "satisfied (not perfect): (3*100000000+1)*2^99999960 vs 2^100000000\n"
+    )
+    assert peak < 1 << 20
+
+
 def test_bound_bad_k(capsys):
     assert main(["bound", "5", "9"]) == 2
 
@@ -389,3 +406,47 @@ def test_non_kl_commands_do_not_import_numpy():
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_parser_reuse_keeps_no_option_from_an_earlier_call(stab_files, capsys):
+    assert main(["verify", stab_files["code5"], "--kl"]) == 0
+    assert "\nkl: pass" in capsys.readouterr().out
+    assert main(["verify", stab_files["code5"]]) == 0
+    out = capsys.readouterr().out
+    assert "kl:" not in out and "distance:" not in out
+    assert out.endswith("result: pass\n")
+
+
+def test_parser_reuse_after_a_usage_error(stab_files, capsys):
+    assert main(["verify", "--distance", "x", stab_files["code5"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: 'x'" in captured.err
+    assert main(["verify", stab_files["code5"]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("result: pass\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["family", "perfect", "--help"]])
+def test_help_twice_is_identical(argv, capsys):
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert first.out.startswith("usage: qpaste") and first.err == ""
+
+
+def test_each_call_writes_to_the_streams_of_that_call(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["--help"]) == 0
+        assert main(["bound"]) == 2
+    assert out.getvalue().startswith("usage: qpaste")
+    assert "the following arguments are required: n" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+    assert main(["bound"]) == 2
+    assert main(["bound", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "best k = 1 (perfect)\n"
+    assert captured.err == err.getvalue()

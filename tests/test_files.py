@@ -1,3 +1,7 @@
+import gc
+import random
+import sys
+
 import pytest
 
 from qpaste.catalog import builtin
@@ -50,3 +54,21 @@ def test_signed_row_rejected():
 def test_empty_file_rejected():
     with pytest.raises(StabilizerFileError, match="no generator"):
         loads("# only a comment\n\n")
+
+
+def test_loads_keeps_no_blocks_between_calls():
+    # Parsing holds nothing once its result is dropped, so repeated calls do
+    # not grow the interpreter's allocated blocks (or a long run's RSS).
+    rng = random.Random(5)
+    texts = [
+        "".join("".join(rng.choice("IXYZ") for _ in range(n)) + "\n" for _ in range(rows))
+        for n, rows in ((rng.randint(3, 20), rng.randint(3, 15)) for _ in range(40))
+    ]
+    for text in texts:
+        loads(text)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for i in range(20_000):
+        loads(texts[i % len(texts)])
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 1_000

@@ -56,6 +56,21 @@ def test_parse_rejects_what_int_would_accept(text, position):
         parse_pauli(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X\udcffZ", "invalid character '\\udcff' at position 2"),
+        ("XÄZ", "invalid character 'Ä' at position 2"),
+        ("X−Z", "invalid character '−' at position 2"),
+        ("−XÄ", "invalid character 'Ä' at position 2"),
+    ],
+)
+def test_parse_names_the_first_non_ascii_character(text, message):
+    with pytest.raises(PauliParseError) as info:
+        parse_pauli(text)
+    assert str(info.value) == message
+
+
 def test_text_codec_matches_per_qubit_factors():
     rng = random.Random(11)
     for n in (1, 2, 7, 64, 65, 1365, 2000):

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from qpaste.catalog import builtin, hamming_class, perfect
-from qpaste.stabilizer import StabilizerCode
-from qpaste.verification import distance, verify_distance3
+from qpaste.pauli import PauliOperator
+from qpaste.stabilizer import StabilizerCode, _transpose, syndrome
+from qpaste.verification import distance, enumerate_errors, verify_distance3
 
 from helpers import (
     degenerate_code6,
@@ -54,6 +55,42 @@ def test_table_matches_syndrome(code):
 
 def test_table_is_computed_once(code):
     assert code.syndrome_table is code.syndrome_table
+
+
+def _reference_keys(code: StabilizerCode) -> list[int]:
+    return [syndrome(code, e).as_int() for e in enumerate_errors(code.n, 1)]
+
+
+def test_flat_keys_match_syndrome(code):
+    for variant in (code, _with_last_row_dropped(code)):
+        assert variant._syndrome_keys == _reference_keys(variant)
+
+
+def _reference_transpose(rows: list[int], width: int) -> list[int]:
+    return [sum(((row >> i) & 1) << j for j, row in enumerate(rows)) for i in range(width)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 31, 64, 65, 130])
+def test_transpose_matches_reference(width):
+    rng = random.Random(width)
+    ones = (1 << width) - 1
+    for count in range(71):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        assert _transpose(rows, width) == _reference_transpose(rows, width)
+        # All-ones rows fill every lane bit: nothing may carry into a neighbour.
+        assert _transpose([ones] * count, width) == [(1 << count) - 1] * width
+
+
+@pytest.mark.parametrize("a", [0, 1, 8, 63, 64, 65, 70])
+def test_flat_keys_for_any_row_count(a):
+    # Keys need only the rows' shape, so unchecked random rows reach past the
+    # 64 rows one lane holds.
+    rng = random.Random(a)
+    for n in (1, 5, 33):
+        rows = [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(a)]
+        code = StabilizerCode(rows, n)
+        assert code._syndrome_keys == _reference_keys(code)
+        assert list(code.syndrome_table) == reference_syndrome_table(code)
 
 
 @pytest.mark.parametrize("allow_degenerate", [False, True])
