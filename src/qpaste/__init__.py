@@ -10,29 +10,22 @@ conditions.
 from .pauli import (
     PauliOperator,
     PauliParseError,
-    adjoint,
     commutes,
     format_pauli,
     identity,
     multiply,
     parse_pauli,
-    square_sign,
     tensor,
-    weight,
     y_count,
 )
 from .stabilizer import (
     CodeParameters,
     InvalidCodeError,
     StabilizerCode,
-    Syndrome,
     ValidationReport,
     Violation,
-    canonical_generators,
     contains,
-    group_equal,
     parameters,
-    syndrome,
     validate,
 )
 from .verification import (
@@ -50,10 +43,7 @@ from .verification import (
 )
 from .kl import (
     CapExceededError,
-    Codespace,
     KLReport,
-    apply_pauli,
-    codewords,
     kl_check,
 )
 from .pasting import (
@@ -75,27 +65,20 @@ __version__ = "0.1.0"
 __all__ = [
     "PauliOperator",
     "PauliParseError",
-    "adjoint",
     "commutes",
     "format_pauli",
     "identity",
     "multiply",
     "parse_pauli",
-    "square_sign",
     "tensor",
-    "weight",
     "y_count",
     "CodeParameters",
     "InvalidCodeError",
     "StabilizerCode",
-    "Syndrome",
     "ValidationReport",
     "Violation",
-    "canonical_generators",
     "contains",
-    "group_equal",
     "parameters",
-    "syndrome",
     "validate",
     "BoundStatus",
     "DistanceReport",
@@ -109,10 +92,7 @@ __all__ = [
     "perfect_length",
     "verify_distance3",
     "CapExceededError",
-    "Codespace",
     "KLReport",
-    "apply_pauli",
-    "codewords",
     "kl_check",
     "PaddedCode",
     "PasteCheck",

@@ -55,26 +55,3 @@ class Eliminator:
             return None
         return aug >> self.width
 
-
-def rank(rows: Iterable[int], width: int) -> int:
-    """Rank of the rows over GF(2)."""
-    return Eliminator(width, rows).rank
-
-
-def rref(rows: Iterable[int], width: int) -> list[tuple[int, int]]:
-    """Reduced row echelon form of the rows.
-
-    Returns ``(row, combination)`` pairs sorted by pivot column, where
-    ``combination`` is the bitmask of input rows XORing to the output row.
-    The result is a canonical basis of the span.
-    """
-    elim = Eliminator(width, rows)
-    pivots = sorted(elim._pivots)
-    cols = [col for col, _ in pivots]
-    reduced = [row for _, row in pivots]
-    for j, col in enumerate(cols):
-        for i in range(len(reduced)):
-            if i != j and (reduced[i] >> col) & 1:
-                reduced[i] ^= reduced[j]
-    mask = (1 << width) - 1
-    return [(row & mask, row >> width) for row in reduced]

@@ -9,8 +9,8 @@ indices, never as a dense matrix.
 Each codeword is the projection of one basis state, so it lives on that
 state's coset of the generators' X-span and no two codewords share a basis
 index: the 2^k x 2^n basis W has at most one nonzero entry per column.
-W is built as a (row, value) pair per index; ``kl_check`` reads that pair
-directly, and only ``codewords`` scatters it into a dense matrix.
+W is built and read as a (row, value) pair per index; the dense matrix is
+never formed.
 
 As c -> c ^ x_a maps cosets onto cosets, E_a W too is nonzero in one row
 per coset, so each coset adds its restricted inner product of E_a W and
@@ -70,24 +70,6 @@ def _signed_permutations(
     return src, coeff
 
 
-def apply_pauli(p: PauliOperator, vec: np.ndarray) -> np.ndarray:
-    """Apply an operator to a state vector (or to each row of a matrix)."""
-    import numpy as np
-
-    src, coeff = _signed_permutations([p], np.arange(1 << p.n))
-    return coeff[0] * vec[..., src[0]]
-
-
-@dataclass(frozen=True)
-class Codespace:
-    """Orthonormal codeword basis of a code: 2^k vectors of dimension 2^n."""
-
-    n: int
-    k: int
-    basis: np.ndarray  # shape (2^k, 2^n)
-    code: StabilizerCode
-
-
 def _sparse_codewords(
     code: StabilizerCode, n_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -144,22 +126,6 @@ def _sparse_codewords(
     return position[label], value, reps, np.flatnonzero(label == 0)
 
 
-def codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> Codespace:
-    """Build 2^k orthonormal codewords by projecting the standard basis.
-
-    The dense 2^k x 2^n ``basis`` is built here only; ``kl_check`` reads the
-    (row, value) form that ``_sparse_codewords`` builds and this scatters.
-    """
-    import numpy as np
-
-    row, value, _, _ = _sparse_codewords(code, n_cap)
-    k = code.n - code.a
-    basis = np.zeros((1 << k, len(row)))
-    on = np.flatnonzero(row < len(basis))
-    basis[row[on], on] = value[on]
-    return Codespace(code.n, k, basis, code)
-
-
 @dataclass(frozen=True)
 class KLReport:
     """Error-pair Gram structure of a code.
@@ -199,7 +165,7 @@ def kl_check(
     """
     import numpy as np
 
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     row, value, reps, span = _sparse_codewords(code, n_cap)
     members = tuple(errors)

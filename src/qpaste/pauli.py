@@ -47,6 +47,8 @@ class PauliOperator:
 
     def factor(self, qubit: int) -> str:
         """Single-qubit factor letter at 1-based position ``qubit``."""
+        if not 1 <= qubit <= self.n:
+            raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
         i = qubit - 1
         return _BITS_FACTOR[((self.x >> i) & 1, (self.z >> i) & 1)]
 
@@ -124,21 +126,6 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 def y_count(p: PauliOperator) -> int:
     """Number of qubits carrying a Y factor."""
     return (p.x & p.z).bit_count()
-
-
-def square_sign(p: PauliOperator) -> int:
-    """Sign of p.p: -1 exactly when the Y count is odd."""
-    return -1 if y_count(p) & 1 else 1
-
-
-def adjoint(p: PauliOperator) -> PauliOperator:
-    """Conjugate transpose; equals p up to the square sign."""
-    return PauliOperator(p.n, p.x, p.z, p.sign * square_sign(p))
-
-
-def weight(p: PauliOperator) -> int:
-    """Number of qubits on which p acts non-trivially."""
-    return (p.x | p.z).bit_count()
 
 
 def tensor(p: PauliOperator, q: PauliOperator) -> PauliOperator:

@@ -3,8 +3,7 @@
 A code is an ordered list of commuting, independent, square-to-+1 Pauli
 products, all with sign +1.  Generators are kept in the given order and
 never silently re-echeloned: the syndrome bit order is the generator
-order.  A canonical (row-reduced) basis is available separately for
-group-level comparisons.
+order.
 """
 
 from __future__ import annotations
@@ -66,6 +65,8 @@ def _check_rows(rows: Sequence[PauliOperator], n: int | None, noun: str) -> int:
         if not rows:
             raise ValueError(f"qubit count required for an empty {noun} list")
         n = rows[0].n
+    if n < 1:
+        raise ValueError(f"a {noun} list needs at least one qubit")
     for i, row in enumerate(rows, start=1):
         if row.n != n:
             raise ValueError(f"{noun} {i} acts on {row.n} qubits, expected {n}")
@@ -81,7 +82,7 @@ class StabilizerCode:
     invariants are checked by :func:`validate` so that broken inputs can be
     reported rather than refused.  Instances are immutable; the GF(2)
     elimination cache used for membership tests is built eagerly, the
-    validation report and the syndrome table on first use.
+    validation report and the weight-<=1 syndrome keys on first use.
     """
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
@@ -99,10 +100,10 @@ class StabilizerCode:
         """Syndrome key of each weight-<=1 error, in ``enumerate_errors(n, 1)``
         order: 0 for the identity, then X, Y, Z on each qubit in turn.
 
-        Generator j is bit j, the bit order of :meth:`Syndrome.as_int`.  X on
-        qubit i anticommutes with the generators whose z part has bit i, Z
-        with those whose x part has it, and Y = X.Z with exactly one of the
-        two, so the keys are the transposed generator matrix.
+        Generator j is bit j of a key.  X on qubit i anticommutes with the
+        generators whose z part has bit i, Z with those whose x part has it,
+        and Y = X.Z with exactly one of the two, so the keys are the
+        transposed generator matrix.
         """
         n = self.n
         columns = _transpose([_pack(g) for g in self.generators], 2 * n)
@@ -112,13 +113,6 @@ class StabilizerCode:
         keys[2::3] = map(xor, x_part, z_part)
         keys[3::3] = x_part
         return keys
-
-    @cached_property
-    def syndrome_table(self) -> tuple[tuple[int, int, int], ...]:
-        """Weight-1 syndromes ``(s_X, s_Y, s_Z)`` of each qubit, as ints with
-        generator j at bit j."""
-        keys = self._syndrome_keys
-        return tuple([tuple(keys[i : i + 3]) for i in range(1, len(keys), 3)])
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -157,42 +151,11 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class CodeParameters:
-    """n physical qubits, a generators, k = n - a encoded qubits.
-
-    ``t`` is the verified correctable weight; it stays None until a
-    distance check has been run.
-    """
+    """n physical qubits, a generators, k = n - a encoded qubits."""
 
     n: int
     a: int
     k: int
-    t: int | None = None
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    """Commutation bit per generator, in generator order."""
-
-    bits: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __xor__(self, other: "Syndrome") -> "Syndrome":
-        if len(self.bits) != len(other.bits):
-            raise ValueError("syndrome lengths differ")
-        return Syndrome(tuple([a ^ b for a, b in zip(self.bits, other.bits)]))
-
-    def as_int(self) -> int:
-        """Bits packed into an int, generator i at bit i."""
-        out = 0
-        for i, b in enumerate(self.bits):
-            out |= b << i
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.bits)
 
 
 def validate(code: StabilizerCode) -> ValidationReport:
@@ -243,17 +206,6 @@ def _check_invariants(code: StabilizerCode) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def syndrome(code: StabilizerCode, error: PauliOperator) -> Syndrome:
-    """Commutation vector of ``error`` against each generator.
-
-    Linear under operator products: syndrome(E.F) = syndrome(E) XOR
-    syndrome(F).  The identity error maps to all-zero.
-    """
-    if error.n != code.n:
-        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return Syndrome(tuple([commutes(g, error) for g in code.generators]))
-
-
 def _replay(code: StabilizerCode, combination: int) -> PauliOperator:
     """Sign-exact product of the generators selected by the bitmask."""
     acc = identity(code.n)
@@ -291,22 +243,3 @@ def parameters(code: StabilizerCode) -> CodeParameters:
     _require_valid(code)
     return CodeParameters(code.n, code.a, code.n - code.a)
 
-
-def canonical_generators(code: StabilizerCode) -> tuple[PauliOperator, ...]:
-    """Row-reduced generator basis with signs replayed from the originals.
-
-    Canonical for the generated group, so two codes generate the same
-    group exactly when their canonical generators coincide.
-    """
-    pairs = gf2.rref([_pack(g) for g in code.generators], 2 * code.n)
-    out = []
-    for _, combination in pairs:
-        out.append(_replay(code, combination))
-    return tuple(out)
-
-
-def group_equal(first: StabilizerCode, second: StabilizerCode) -> bool:
-    """Whether two generator lists generate the same signed group."""
-    if first.n != second.n:
-        return False
-    return canonical_generators(first) == canonical_generators(second)

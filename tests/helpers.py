@@ -9,15 +9,15 @@ elimination.  They exist to cross-check the fast implementation.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
-from qpaste.kl import KLReport
-from qpaste.pauli import PauliOperator, adjoint, commutes, multiply, parse_pauli
-from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains, syndrome
+from qpaste.kl import DEFAULT_QUBIT_CAP, KLReport, _sparse_codewords
+from qpaste.pauli import PauliOperator, commutes, multiply, parse_pauli, y_count
+from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains
 from qpaste.pasting import PaddedCode, augment
 from qpaste.verification import DistanceReport, enumerate_errors
 from qpaste import gf2
@@ -44,6 +44,48 @@ def dense(text: str) -> np.ndarray:
     for ch in text:
         out = np.kron(MAT[ch], out)
     return sign * out
+
+
+@dataclass(frozen=True)
+class Syndrome:
+    """Commutation bit per generator, in generator order."""
+
+    bits: tuple[int, ...]
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self.bits)
+
+    def __xor__(self, other: "Syndrome") -> "Syndrome":
+        if len(self.bits) != len(other.bits):
+            raise ValueError("syndrome lengths differ")
+        return Syndrome(tuple([a ^ b for a, b in zip(self.bits, other.bits)]))
+
+    def as_int(self) -> int:
+        """Bits packed into an int, generator i at bit i."""
+        out = 0
+        for i, b in enumerate(self.bits):
+            out |= b << i
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.bits)
+
+
+def syndrome(code: StabilizerCode, error: PauliOperator) -> Syndrome:
+    """Commutation vector of ``error`` against each generator.
+
+    Linear under operator products: syndrome(E.F) = syndrome(E) XOR
+    syndrome(F).  The identity error maps to all-zero.
+    """
+    if error.n != code.n:
+        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
+    return Syndrome(tuple([commutes(g, error) for g in code.generators]))
+
+
+def adjoint(p: PauliOperator) -> PauliOperator:
+    """Conjugate transpose: p up to the sign of p.p, -1 exactly when the Y count is odd."""
+    return PauliOperator(p.n, p.x, p.z, -p.sign if y_count(p) & 1 else p.sign)
 
 
 def char_commutes(a: str, b: str) -> int:
@@ -111,7 +153,7 @@ def random_valid_code(rng: random.Random, n: int, a: int) -> StabilizerCode:
             continue
         if any(commutes(p, q) for q in rows):
             continue
-        if gf2.rank(packed + [x | (z << n)], 2 * n) != len(rows) + 1:
+        if gf2.Eliminator(2 * n, packed + [x | (z << n)]).rank != len(rows) + 1:
             continue
         rows.append(p)
         packed.append(x | (z << n))
@@ -128,9 +170,9 @@ def random_mixer(rng: random.Random, m: int) -> list[int]:
         raise ValueError(f"no m x m mixer with L and L + I invertible for m = {m}")
     while True:
         rows = [rng.getrandbits(m) for _ in range(m)]
-        if gf2.rank(rows, m) != m:
+        if gf2.Eliminator(m, rows).rank != m:
             continue
-        if gf2.rank([row ^ (1 << r) for r, row in enumerate(rows)], m) != m:
+        if gf2.Eliminator(m, [row ^ (1 << r) for r, row in enumerate(rows)]).rank != m:
             continue
         return rows
 
@@ -229,6 +271,16 @@ def shor_code9() -> StabilizerCode:
     return StabilizerCode([parse_pauli(r) for r in rows])
 
 
+def same_group(first: StabilizerCode, second: StabilizerCode) -> bool:
+    """Whether two generator lists generate the same signed group: each
+    contains the other's generators."""
+    if first.n != second.n:
+        return False
+    return all(contains(second, g) for g in first.generators) and all(
+        contains(first, g) for g in second.generators
+    )
+
+
 def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
     negated = PauliOperator(p.n, p.x, p.z, -p.sign)
     return contains(code, p) or contains(code, negated)
@@ -309,6 +361,15 @@ def _reference_signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarra
     parity = np.bitwise_count(src & p.z) & 1
     coeff = p.sign * np.where(parity, -1.0, 1.0)
     return src, coeff
+
+
+def scattered_codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """The 2^k x 2^n codeword basis that ``kl_check`` reads in sparse form, made dense."""
+    row, value, _, _ = _sparse_codewords(code, n_cap)
+    basis = np.zeros((1 << (code.n - code.a), len(row)))
+    on = np.flatnonzero(row < len(basis))
+    basis[row[on], on] = value[on]
+    return basis
 
 
 def reference_codewords(code: StabilizerCode) -> np.ndarray:

@@ -23,7 +23,7 @@ from qpaste.pasting import (
     can_paste,
     paste,
 )
-from qpaste.stabilizer import syndrome, validate
+from qpaste.stabilizer import validate
 from qpaste.verification import (
     BoundStatus,
     best_k,
@@ -40,6 +40,7 @@ from helpers import (
     random_valid_code,
     random_mixer,
     shuffled_qubits,
+    syndrome,
 )
 
 SINGLES = ["I", "X", "Y", "Z"]

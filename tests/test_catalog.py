@@ -9,7 +9,7 @@ from qpaste.catalog import _mixer_images, builtin, entries, hamming_class, perfe
 from qpaste.files import dumps
 from qpaste.pauli import format_pauli
 from qpaste.pasting import locate_xz_generators
-from qpaste.stabilizer import syndrome, validate
+from qpaste.stabilizer import validate
 from qpaste.verification import (
     BoundStatus,
     enumerate_errors,
@@ -22,6 +22,7 @@ from helpers import (
     fail_validation_on,
     random_mixer,
     reference_mixer_images,
+    syndrome,
 )
 
 CODE5_ROWS = ["XXZIZ", "ZXXZI", "IZXXZ", "ZIZXX"]

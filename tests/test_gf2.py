@@ -1,13 +1,11 @@
-import random
-
-from qpaste.gf2 import Eliminator, rank, rref
+from qpaste.gf2 import Eliminator
 
 
 def test_rank_basics():
-    assert rank([0b01, 0b10], 2) == 2
-    assert rank([0b11, 0b11], 2) == 1
-    assert rank([], 4) == 0
-    assert rank([0b101, 0b011, 0b110], 3) == 2  # third row is the XOR
+    assert Eliminator(2, [0b01, 0b10]).rank == 2
+    assert Eliminator(2, [0b11, 0b11]).rank == 1
+    assert Eliminator(4).rank == 0
+    assert Eliminator(3, [0b101, 0b011, 0b110]).rank == 2  # third row is the XOR
 
 
 def test_dependent_tracking():
@@ -36,34 +34,3 @@ def test_solve_zero_vector():
     elim = Eliminator(4, [0b1001, 0b0110])
     assert elim.solve(0) == 0
 
-
-def test_rref_canonical():
-    rows = [0b110, 0b011]
-    alt = [0b101, 0b011]  # same span, different generators
-    assert [r for r, _ in rref(rows, 3)] == [r for r, _ in rref(alt, 3)]
-    for row, combo in rref(rows, 3):
-        acc = 0
-        for i, original in enumerate(rows):
-            if (combo >> i) & 1:
-                acc ^= original
-        assert acc == row
-
-
-def test_rref_random_spans():
-    rng = random.Random(5)
-    for _ in range(50):
-        width = rng.randint(2, 16)
-        rows = [rng.getrandbits(width) for _ in range(rng.randint(1, 6))]
-        reduced = rref(rows, width)
-        elim = Eliminator(width, rows)
-        assert len(reduced) == elim.rank
-        # every reduced row reconstructs from its combination
-        for row, combo in reduced:
-            acc = 0
-            for i, original in enumerate(rows):
-                if (combo >> i) & 1:
-                    acc ^= original
-            assert acc == row
-        # pivot columns strictly increase
-        pivots = [(r & -r).bit_length() - 1 for r, _ in reduced if r]
-        assert pivots == sorted(pivots)

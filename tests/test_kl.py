@@ -4,32 +4,40 @@ import numpy as np
 import pytest
 
 from qpaste.catalog import builtin, hamming_class
-from qpaste.kl import CapExceededError, apply_pauli, codewords, kl_check
+from qpaste.kl import CapExceededError, _signed_permutations, kl_check
 from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors, verify_distance3
 
-from helpers import degenerate_code6, dense, random_valid_code, shuffled_qubits
+from helpers import (
+    degenerate_code6,
+    dense,
+    random_valid_code,
+    scattered_codewords,
+    shuffled_qubits,
+)
 
 
 def test_apply_pauli_matches_dense():
+    # The signed permutations every state vector in kl_check goes through.
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randint(1, 5)
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
         vec = np.array([rng.uniform(-1, 1) for _ in range(1 << n)])
-        assert np.allclose(apply_pauli(p, vec), dense(format_pauli(p)) @ vec)
+        src, coeff = _signed_permutations([p], np.arange(1 << n))
+        assert np.allclose(coeff[0] * vec[src[0]], dense(format_pauli(p)) @ vec)
 
 
 def test_codewords_code5():
     code = builtin("code5")
-    space = codewords(code)
-    assert space.basis.shape == (2, 32) and space.k == 1
-    gram = space.basis @ space.basis.T
+    basis = scattered_codewords(code)
+    assert basis.shape == (2, 32)
+    gram = basis @ basis.T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
     for g in code.generators:
-        fixed = dense(format_pauli(g)) @ space.basis.T
-        assert np.allclose(fixed.T, space.basis, atol=1e-12)
+        fixed = dense(format_pauli(g)) @ basis.T
+        assert np.allclose(fixed.T, basis, atol=1e-12)
 
 
 def test_codewords_projector_rank_oracle():
@@ -39,26 +47,33 @@ def test_codewords_projector_rank_oracle():
     for g in code.generators:
         projector = projector @ ((np.eye(32) + dense(format_pauli(g))) / 2)
     assert int(round(np.trace(projector))) == 2
+    # The codewords span its range: it fixes each one.
+    basis = scattered_codewords(code)
+    assert np.allclose(basis @ projector.T, basis, atol=1e-12)
 
 
 def test_codewords_code8():
-    space = codewords(builtin("code8"))
-    assert space.basis.shape == (8, 256)
-    for g in space.code.generators:
-        assert np.allclose(apply_pauli(g, space.basis), space.basis, atol=1e-12)
+    code = builtin("code8")
+    basis = scattered_codewords(code)
+    assert basis.shape == (8, 256)
+    src, coeff = _signed_permutations(code.generators, np.arange(256))
+    for s, c in zip(src, coeff):
+        assert np.allclose(c * basis[:, s], basis, atol=1e-12)
 
 
 def test_codewords_empty_generator_code():
-    space = codewords(StabilizerCode([], n=1))
-    assert space.basis.shape == (2, 2)
-    assert np.allclose(space.basis @ space.basis.T, np.eye(2))
+    basis = scattered_codewords(StabilizerCode([], n=1))
+    assert basis.shape == (2, 2)
+    assert np.allclose(basis @ basis.T, np.eye(2))
 
 
 def test_codewords_cap():
-    with pytest.raises(CapExceededError, match="10"):
-        codewords(builtin("code13"))
-    with pytest.raises(CapExceededError, match="8"):
-        codewords(builtin("code13"), n_cap=8)
+    # kl_check refuses before it builds any codeword.
+    errors = enumerate_errors(13, 1)
+    with pytest.raises(CapExceededError, match=r"n=13 exceeds .*\(10 qubits\)"):
+        kl_check(builtin("code13"), errors)
+    with pytest.raises(CapExceededError, match=r"n=13 exceeds .*\(8 qubits\)"):
+        kl_check(builtin("code13"), errors, n_cap=8)
 
 
 def test_kl_code5():
@@ -96,6 +111,8 @@ def test_kl_identity_only():
 def test_kl_argument_checks():
     with pytest.raises(ValueError, match="positive"):
         kl_check(builtin("code5"), enumerate_errors(5, 1), tol=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        kl_check(builtin("code5"), [identity(5)], tol=float("nan"))
     with pytest.raises(ValueError, match="qubits"):
         kl_check(builtin("code5"), [identity(4)])
     with pytest.raises(ValueError, match="at least one"):

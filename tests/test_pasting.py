@@ -25,7 +25,7 @@ from qpaste.pasting import (
     locate_xz_generators,
     paste,
 )
-from qpaste.stabilizer import StabilizerCode, group_equal, syndrome, validate
+from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import verify_distance3
 
 from helpers import (
@@ -33,7 +33,9 @@ from helpers import (
     fail_distance3_on,
     fail_validation_on,
     paste_sample,
+    same_group,
     shuffled_qubits,
+    syndrome,
 )
 
 
@@ -100,7 +102,7 @@ def test_locate_xz_recombines():
     assert located is not variant
     assert format_pauli(located.generators[0]) == "X" * 8
     assert format_pauli(located.generators[1]) == "Z" * 8
-    assert group_equal(located, variant)
+    assert same_group(located, variant)
 
 
 def test_paste_reproduces_code13():

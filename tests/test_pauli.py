@@ -6,19 +6,16 @@ import pytest
 from qpaste.pauli import (
     PauliOperator,
     PauliParseError,
-    adjoint,
     commutes,
     format_pauli,
     identity,
     multiply,
     parse_pauli,
-    square_sign,
     tensor,
-    weight,
     y_count,
 )
 
-from helpers import dense
+from helpers import adjoint, dense
 
 SINGLES = ["I", "X", "Y", "Z"]
 
@@ -79,6 +76,14 @@ def test_text_codec_matches_per_qubit_factors():
         text = body if p.sign > 0 else "-" + body
         assert format_pauli(p) == text
         assert parse_pauli(text) == p
+
+
+def test_factor_range():
+    p = parse_pauli("XZ")
+    assert (p.factor(1), p.factor(2)) == ("X", "Z")
+    for qubit in (0, 3):
+        with pytest.raises(ValueError, match=rf"qubit {qubit} out of range 1\.\.2"):
+            p.factor(qubit)
 
 
 def test_format_examples():
@@ -171,6 +176,8 @@ def test_adjoint_is_inverse():
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
         assert multiply(p, adjoint(p)) == identity(n)
         assert multiply(adjoint(p), p) == identity(n)
+        if n <= 4:
+            assert np.array_equal(dense(format_pauli(adjoint(p))), dense(format_pauli(p)).T)
 
 
 def test_anticommute_iff_products_differ_by_sign():
@@ -188,21 +195,21 @@ def test_anticommute_iff_products_differ_by_sign():
 
 
 def test_square_sign():
-    assert square_sign(parse_pauli("Y")) == -1
-    assert square_sign(parse_pauli("XIXIZYZYXXZIZ")) == 1  # two Y factors
-    assert square_sign(identity(4)) == 1
+    # p.p is -I exactly when the Y count is odd: the rule of validate's square check.
+    for text, sign in (("Y", -1), ("XIXIZYZYXXZIZ", 1), ("IIII", 1)):  # 1, 2, 0 Y factors
+        p = parse_pauli(text)
+        assert multiply(p, p) == PauliOperator(p.n, 0, 0, sign)
     rng = random.Random(19)
     for _ in range(50):
         n = rng.randint(1, 10)
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n))
-        assert square_sign(p) == multiply(p, p).sign
+        assert multiply(p, p).sign == (-1 if y_count(p) & 1 else 1)
 
 
-def test_weight():
-    assert weight(identity(13)) == 0
-    assert weight(parse_pauli("XXZIZ")) == 4
-    assert weight(parse_pauli("X" + "I" * 12)) == 1
+def test_y_count():
+    assert y_count(identity(13)) == 0
     assert y_count(parse_pauli("XYZYI")) == 2
+    assert y_count(parse_pauli("-YYY")) == 3
 
 
 def test_tensor_examples():
@@ -219,7 +226,9 @@ def test_tensor_weight_additive():
         n, m = rng.randint(1, 10), rng.randint(1, 10)
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n))
         q = PauliOperator(m, rng.getrandbits(m), rng.getrandbits(m))
-        assert weight(tensor(p, q)) == weight(p) + weight(q)
+        r = tensor(p, q)
+        assert (r.x | r.z).bit_count() == (p.x | p.z).bit_count() + (q.x | q.z).bit_count()
+        assert y_count(r) == y_count(p) + y_count(q)
 
 
 def test_constructor_validation():

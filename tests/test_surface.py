@@ -1,0 +1,102 @@
+"""The public surface: the exported names, the retired ones, and the README's examples."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import qpaste
+from qpaste import gf2
+from qpaste.stabilizer import CodeParameters, StabilizerCode
+
+PUBLIC = [
+    "BoundStatus",
+    "CapExceededError",
+    "CatalogEntry",
+    "CodeParameters",
+    "DistanceReport",
+    "ErrorSet",
+    "InvalidCodeError",
+    "KLReport",
+    "PaddedCode",
+    "PasteCheck",
+    "PasteDiagnostics",
+    "PasteError",
+    "PasteVerificationError",
+    "PauliOperator",
+    "PauliParseError",
+    "StabilizerCode",
+    "StabilizerFileError",
+    "ValidationReport",
+    "Violation",
+    "augment",
+    "best_k",
+    "builtin",
+    "can_paste",
+    "commutes",
+    "contains",
+    "distance",
+    "dumps",
+    "entries",
+    "enumerate_errors",
+    "format_pauli",
+    "hamming_bound",
+    "hamming_class",
+    "identity",
+    "is_perfect",
+    "iter_weight_errors",
+    "kl_check",
+    "loads",
+    "locate_xz_generators",
+    "multiply",
+    "parameters",
+    "parse_pauli",
+    "paste",
+    "perfect",
+    "perfect_length",
+    "tensor",
+    "validate",
+    "verify_distance3",
+    "y_count",
+]
+
+RETIRED = [
+    "Syndrome",
+    "syndrome",
+    "canonical_generators",
+    "group_equal",
+    "adjoint",
+    "square_sign",
+    "weight",
+    "apply_pauli",
+    "codewords",
+    "Codespace",
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 48
+    assert sorted(qpaste.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(qpaste, name) is not None
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_name_does_not_import(name):
+    with pytest.raises(ImportError):
+        exec(f"from qpaste import {name}", {})
+
+
+def test_retired_members_are_gone():
+    assert not hasattr(gf2, "rank") and not hasattr(gf2, "rref")
+    assert not hasattr(StabilizerCode, "syndrome_table")
+    assert "t" not in CodeParameters.__dataclass_fields__
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -5,7 +5,7 @@ import pytest
 
 from qpaste.catalog import builtin
 from qpaste.pauli import format_pauli, parse_pauli
-from qpaste.stabilizer import InvalidCodeError, StabilizerCode, syndrome
+from qpaste.stabilizer import InvalidCodeError, StabilizerCode
 from qpaste.verification import (
     BoundStatus,
     best_k,
@@ -17,7 +17,13 @@ from qpaste.verification import (
     verify_distance3,
 )
 
-from helpers import char_syndrome, degenerate_code6, np_in_span, reference_best_k
+from helpers import (
+    char_syndrome,
+    degenerate_code6,
+    np_in_span,
+    reference_best_k,
+    syndrome,
+)
 
 
 def from_strings(*rows):
