@@ -15,23 +15,29 @@ never formed.
 As c -> c ^ x_a maps cosets onto cosets, E_a W too is nonzero in one row
 per coset, so each coset adds its restricted inner product of E_a W and
 E_b W to one cell of the Gram block G_ab, and distinct cosets to distinct
-cells.  ``kl_check`` lays the values of all m errors' E_a W out by coset,
-drops the cosets where all of them vanish, and gets the m x m restricted
-inner products of a batch of cosets from one batched ``np.matmul``; per
-(a, b) it keeps only the diagonal sum and extremes and the
-largest off-diagonal entry.  That is O(m^2 2^n) work in BLAS plus
-O(m^2 T) elementwise over the T cosets, with no 4^k term, and batches of
-at most 2^n / m cosets keep memory at O(m 2^n); the codewords cost
-O((n - k) 2^n).
+cells.  Whether that cell is on the diagonal depends on the pair alone:
+x_a and x_b map every coset onto the same coset when x_a ^ x_b lies in the
+X-span, and none otherwise.  ``kl_check`` streams the cosets in chunks.
+Per chunk it builds the values of all m errors' E_a W, drops the cosets
+where all of them vanish, and gets the m x m restricted inner products of
+a batch of cosets from one batched ``np.matmul``.  It reads each batch
+with one sum, which is the diagonal sum of the same-image pairs as their
+other cells hold exactly 0; the diagonal extremes of those pairs alone,
+gathered out of the batch; and one in-place |.| max for the largest entry
+off the diagonal, kept for the other pairs.  That is O(m^2 2^n) work in
+BLAS plus O(m^2 T) elementwise over the T cosets, with no 4^k term.
+Memory is O(chunk) for amplitudes and products plus O(2^n) for the
+codewords' row and value arrays, which cost O((n - k) 2^n) to build.
 
 This route is independent of the syndrome-level checks and is meant for
-cross-validation at small n; the default cap keeps state vectors at or
-below 2^10 entries.  numpy is imported by the functions that use it, so
-importing the package does not load it.
+cross-validation at small n; by default it refuses state vectors of more
+than 2^16 amplitudes (n > 16).  numpy is imported by the functions that
+use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -41,12 +47,17 @@ from .stabilizer import StabilizerCode, _require_valid
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_QUBIT_CAP = 10
+# The longest state vector kl_check builds unless told otherwise: 2^16
+# amplitudes admit code13 and hamming_class(4), not perfect(2).
+DEFAULT_MAX_AMPLITUDES = 1 << 16
+# Entries per chunk of amplitudes or Gram products.  Every n <= 10 code
+# builds its weight-<=1 amplitudes, at most 31 * 2^10 entries, in one chunk.
+_CHUNK = 1 << 16
 _DISCARD_NORM = 1e-8
 
 
 class CapExceededError(ValueError):
-    """Dense-statevector work refused because the qubit count is too large."""
+    """Dense-statevector work refused because a state vector would be too long."""
 
 
 def _signed_permutations(
@@ -71,7 +82,7 @@ def _signed_permutations(
 
 
 def _sparse_codewords(
-    code: StabilizerCode, n_cap: int
+    code: StabilizerCode, max_amplitudes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The codeword basis as (row, value) per index, the coset minima and the X-span.
 
@@ -87,16 +98,19 @@ def _sparse_codewords(
     the same order, and value 0, so ``row`` numbers the cosets one to one.
     The third array lists each coset's smallest index in increasing order;
     the fourth is the X-span itself, the coset of 0, in increasing order.
+    Before any array is built, refuses a state vector of 2^n amplitudes that
+    is not within ``max_amplitudes``.
     """
     import numpy as np
 
-    if code.n > n_cap:
+    dim = 1 << code.n
+    # Written so that a NaN, infinite or negative limit refuses too.
+    if not dim <= max_amplitudes < math.inf:
         raise CapExceededError(
-            f"kl check refused: n={code.n} exceeds the dense-statevector cap "
-            f"({n_cap} qubits)"
+            f"kl check refused: n={code.n} needs {dim} amplitudes per state "
+            f"vector; the limit is {max_amplitudes}"
         )
     _require_valid(code)
-    dim = 1 << code.n
     k = code.n - code.a
     target = 1 << k
     index = np.arange(dim)
@@ -147,27 +161,29 @@ def kl_check(
     code: StabilizerCode,
     errors: Iterable[PauliOperator],
     tol: float = 1e-10,
-    n_cap: int = DEFAULT_QUBIT_CAP,
+    max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
 ) -> KLReport:
     """Check the error-correction conditions for the given error set.
 
     Passes when every inner product <psi_i| Ea' Eb |psi_j> matches
     C_ab * delta_ij within ``tol``, with C_ab taken as the diagonal (i = j)
     average.  When the diagonal blocks are not constant the report simply
-    fails with the raw deviation.  The cap and the code are checked before
+    fails with the raw deviation.  ``max_amplitudes`` bounds the 2^n
+    entries of a state vector; it and the code are checked before
     ``errors`` is read, so a refused check never iterates it.
 
     Every inner product is summed from amplitudes, coset by coset, in one
-    batched matmul per chunk of cosets (see the module docstring): work is
-    O(m^2 2^n), memory O(m 2^n), and no 4^k Gram block is ever formed.  On
-    a passing code ``max_deviation`` is rounding noise, and its digits
-    below 1e-15 depend on the order of summation.
+    batched matmul per chunk of cosets, read with one sum, one gather and
+    one max (see the module docstring): work is O(m^2 2^n), memory
+    O(chunk) plus O(2^n), and no 4^k Gram block is ever formed.  On a
+    passing code ``max_deviation`` is rounding noise, and its digits below
+    1e-15 depend on the order of summation.
     """
     import numpy as np
 
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    row, value, reps, span = _sparse_codewords(code, n_cap)
+    row, value, reps, span = _sparse_codewords(code, max_amplitudes)
     members = tuple(errors)
     if not members:
         raise ValueError("need at least one error operator")
@@ -179,40 +195,55 @@ def kl_check(
     m = len(members)
     # Coset t of the X-span is reps[t] ^ span.  E_a W is nonzero on coset t
     # only in row images[t, a], the row of the coset that x_a maps t onto.
-    xs = np.array([e.x for e in members], dtype=np.int64)
-    images = row[reps.reshape(-1, 1) ^ xs]
-    live = (images < dim_k).any(axis=1)
-    reps, images = reps[live], images[live]
-    src, coeff = _signed_permutations(members, (reps.reshape(-1, 1) ^ span)[:, None, :])
-    amps = value[src]  # amps[t, a]: E_a W's values on coset t
-    amps *= coeff
-    del src, coeff
-    # Distinct cosets have distinct images under each error, so coset t
-    # alone fills cell (images[t, a], images[t, b]) of G_ab, with its inner
-    # product gram[t, a, b].  A row of 2^k or more is a discarded coset's:
-    # its cells hold 0 and count as off the diagonal.
-    # Chunks of at most 2^n / m cosets keep each gram within m * 2^n entries
-    # (m^2, the size of C itself, when there are more errors than indices).
-    chunk = max(1, dim // m)
+    # That row equals images[t, b] for every t or for none, as the pair
+    # property x_a ^ x_b in span decides; lead[a] is the row of x_a itself.
+    lead = row[[e.x for e in members]]
+    same = lead[:, None] == lead[None, :]
+    pa, pb = np.nonzero(same)
+    # E_a's sign at reps[t] ^ span[j] is its sign at reps[t] times
+    # (-1)^popcount(span[j] & z_a).
+    zs = np.array([e.z for e in members], dtype=np.int64).reshape(-1, 1)
+    span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs) & 1)
+    # Amplitudes are built for at most _CHUNK entries' worth of cosets at a
+    # time, and Gram products taken over at most min(m 2^n, _CHUNK) entries'
+    # worth (one coset's, when it alone needs more).
+    build = max(1, _CHUNK // (m * len(span)))
+    step = max(1, min(dim, _CHUNK // m) // m)
     total = np.zeros((m, m))
-    high = np.full((m, m), -np.inf)
-    low = np.full((m, m), np.inf)
+    high = np.full(len(pa), -np.inf)
+    low = np.full(len(pa), np.inf)
     off = np.zeros((m, m))
-    for t0 in range(0, len(reps), chunk):
-        block = amps[t0 : t0 + chunk]
-        gram = np.matmul(block, block.transpose(0, 2, 1))
-        cell = images[t0 : t0 + chunk]
-        diagonal = (cell[:, :, None] == cell[:, None, :]) & (cell < dim_k)[:, :, None]
-        on = np.where(diagonal, gram, 0.0)
-        total += on.sum(axis=0)
-        np.maximum(high, np.where(diagonal, gram, -np.inf).max(axis=0), out=high)
-        np.minimum(low, np.where(diagonal, gram, np.inf).min(axis=0), out=low)
-        np.maximum(off, np.abs(gram - on).max(axis=0), out=off)
-    c_matrix = total / dim_k
+    for b0 in range(0, len(reps), build):
+        heads, signs = _signed_permutations(members, reps[b0 : b0 + build].reshape(-1, 1, 1))
+        images = row[heads[:, :, 0]]
+        live = (images < dim_k).any(axis=1)
+        heads, signs, images = heads[live], signs[live], images[live]
+        amps = np.take(value, heads ^ span)  # amps[t, a]: E_a W's values on coset t
+        amps *= signs
+        amps *= span_signs
+        kept = images[:, pa] < dim_k
+        for t0 in range(0, len(images), step):
+            block = amps[t0 : t0 + step]
+            gram = np.matmul(block, block.transpose(0, 2, 1))
+            # Coset t alone fills cell (images[t, a], images[t, b]) of G_ab
+            # with gram[t, a, b].  A same-image pair's cells are diagonal
+            # where its image is kept and exactly 0 where it is a discarded
+            # coset's (row 2^k or more, value 0); any other pair's cells are
+            # all off the diagonal.  So the plain sum is the diagonal sum,
+            # and |gram| is read only for the other pairs, at the end.  NaN
+            # marks the discarded cells, which fmax and fmin pass over.
+            total += gram.sum(axis=0)
+            diagonal = np.where(kept[t0 : t0 + step], gram[:, pa, pb], np.nan)
+            np.fmax(high, np.fmax.reduce(diagonal, axis=0), out=high)
+            np.fmin(low, np.fmin.reduce(diagonal, axis=0), out=low)
+            np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
+    c_matrix = np.where(same, total, 0.0) / dim_k
+    off[same] = 0.0
     # A diagonal cell that no coset reaches holds 0, |C_ab| away from C_ab.
     # No term is needed for it: a pair of Pauli errors reaches either all
     # 2^k diagonal cells or none of them, and in the second case C_ab = 0.
-    max_deviation = float(max((high - c_matrix).max(), (c_matrix - low).max(), off.max()))
+    diagonal = c_matrix[pa, pb]
+    max_deviation = float(max((high - diagonal).max(), (diagonal - low).max(), off.max()))
     rank = int(np.linalg.matrix_rank(c_matrix))
     return KLReport(
         c_matrix=c_matrix,

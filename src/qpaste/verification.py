@@ -36,6 +36,13 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
     if w == 0:
         yield identity(n)
         return
+    if w == 1:
+        # The loop below for one position, built directly: X, Y, Z per qubit.
+        for b in (1 << i for i in range(n)):
+            yield PauliOperator(n, b, 0, 1)
+            yield PauliOperator(n, b, b, 1)
+            yield PauliOperator(n, 0, b, 1)
+        return
     for positions in combinations(range(n), w):
         for factors in product(range(3), repeat=w):
             yield _operator(n, positions, factors)

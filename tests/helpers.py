@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
-from qpaste.kl import DEFAULT_QUBIT_CAP, KLReport, _sparse_codewords
+from qpaste.kl import DEFAULT_MAX_AMPLITUDES, KLReport, _sparse_codewords
 from qpaste.pauli import PauliOperator, commutes, multiply, parse_pauli, y_count
 from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains
 from qpaste.pasting import PaddedCode, augment
@@ -363,9 +363,11 @@ def _reference_signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarra
     return src, coeff
 
 
-def scattered_codewords(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def scattered_codewords(
+    code: StabilizerCode, max_amplitudes: int = DEFAULT_MAX_AMPLITUDES
+) -> np.ndarray:
     """The 2^k x 2^n codeword basis that ``kl_check`` reads in sparse form, made dense."""
-    row, value, _, _ = _sparse_codewords(code, n_cap)
+    row, value, _, _ = _sparse_codewords(code, max_amplitudes)
     basis = np.zeros((1 << (code.n - code.a), len(row)))
     on = np.flatnonzero(row < len(basis))
     basis[row[on], on] = value[on]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from qpaste.catalog import builtin
+from qpaste.catalog import builtin, perfect
 from qpaste.cli import main
 from qpaste.files import dumps
 from qpaste.verification import enumerate_errors
@@ -21,6 +21,11 @@ def stab_files(tmp_path):
         p = tmp_path / f"{name}.stab"
         p.write_text(dumps(builtin(name)))
         paths[name] = str(p)
+    # The [[21,15,3]] code: its 2^21-amplitude state vectors exceed the KL
+    # route's default limit.
+    p = tmp_path / "perfect2.stab"
+    p.write_text(dumps(perfect(2)))
+    paths["perfect2"] = str(p)
     return paths
 
 
@@ -48,16 +53,25 @@ def test_verify_distance_explicit_weight(stab_files, capsys):
 
 
 def test_verify_kl_refused_above_cap(stab_files, capsys):
-    assert main(["verify", stab_files["code13"], "--kl"]) == 2
+    assert main(["verify", stab_files["perfect2"], "--kl"]) == 2
     err = capsys.readouterr().err
-    assert "cap" in err and "error:" in err
+    assert "limit" in err and "error:" in err
 
 
 def test_verify_kl_refusal_text(stab_files, capsys):
-    assert main(["verify", stab_files["code13"], "--kl"]) == 2
+    assert main(["verify", stab_files["perfect2"], "--kl"]) == 2
     assert capsys.readouterr().err == (
-        "error: kl check refused: n=13 exceeds the dense-statevector cap (10 qubits)\n"
+        "error: kl check refused: n=21 needs 2097152 amplitudes per state vector; "
+        "the limit is 65536\n"
     )
+
+
+def test_verify_kl_code13(stab_files, capsys):
+    # The paper's [[13,7,3]] code passes the third route at the default limit.
+    assert main(["verify", stab_files["code13"], "--kl"]) == 0
+    out = capsys.readouterr().out
+    assert "kl: pass (C rank 40/40" in out
+    assert "result: pass" in out
 
 
 def test_verify_kl_refusal_builds_no_errors(stab_files, capsys, monkeypatch):
@@ -70,7 +84,7 @@ def test_verify_kl_refusal_builds_no_errors(stab_files, capsys, monkeypatch):
         return enumerate_errors(n, t)
 
     monkeypatch.setattr(cli, "enumerate_errors", spy)
-    assert main(["verify", stab_files["code13"], "--kl"]) == 2
+    assert main(["verify", stab_files["perfect2"], "--kl"]) == 2
     assert built == []
     assert main(["verify", stab_files["code5"], "--kl"]) == 0
     assert built == [(5, 1)]

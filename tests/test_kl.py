@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from qpaste.catalog import builtin, hamming_class
+import qpaste.kl as kl
+from qpaste.catalog import builtin, hamming_class, perfect
 from qpaste.kl import CapExceededError, _signed_permutations, kl_check
 from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
@@ -67,13 +68,62 @@ def test_codewords_empty_generator_code():
     assert np.allclose(basis @ basis.T, np.eye(2))
 
 
-def test_codewords_cap():
+def _refuse_to_build(monkeypatch):
+    # The first step after the limit check; reaching it means building.
+    def built(code):
+        raise AssertionError("kl_check went on past its limit")
+
+    monkeypatch.setattr(kl, "_require_valid", built)
+
+
+def test_codewords_cap(monkeypatch):
     # kl_check refuses before it builds any codeword.
-    errors = enumerate_errors(13, 1)
-    with pytest.raises(CapExceededError, match=r"n=13 exceeds .*\(10 qubits\)"):
-        kl_check(builtin("code13"), errors)
-    with pytest.raises(CapExceededError, match=r"n=13 exceeds .*\(8 qubits\)"):
-        kl_check(builtin("code13"), errors, n_cap=8)
+    _refuse_to_build(monkeypatch)
+    refusal = r"^kl check refused: n=21 needs 2097152 amplitudes .*; the limit is 65536$"
+    with pytest.raises(CapExceededError, match=refusal):
+        kl_check(perfect(2), enumerate_errors(21, 1))
+    with pytest.raises(CapExceededError, match=r"n=13 needs 8192 amplitudes .*the limit is 4096$"):
+        kl_check(builtin("code13"), enumerate_errors(13, 1), max_amplitudes=1 << 12)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1, 0, 1 << 84])
+def test_limit_that_admits_nothing_refuses_first(monkeypatch, limit):
+    # perfect(3) has n = 85: only a finite limit of at least 2^85 admits it.
+    _refuse_to_build(monkeypatch)
+    refusal = rf"n=85 needs {1 << 85} amplitudes .*the limit is {limit}$"
+    with pytest.raises(CapExceededError, match=refusal):
+        kl_check(perfect(3), iter(()), max_amplitudes=limit)
+
+
+def test_amplitudes_stream_in_chunks(monkeypatch):
+    # Each chunk of cosets builds at most _CHUNK amplitudes; the weight-<=1
+    # amplitudes of an n <= 10 code are built in one piece.
+    builds, products = [], []
+    permutations, matmul = kl._signed_permutations, np.matmul
+
+    def recording_permutations(ops, index):
+        if index.ndim == 3:
+            builds.append(index.size * len(ops))
+        return permutations(ops, index)
+
+    def recording_matmul(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        products.append(out.size)
+        return out
+
+    monkeypatch.setattr(kl, "_signed_permutations", recording_permutations)
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    code = hamming_class(4)
+    span = len(kl._sparse_codewords(code, 1 << 16)[3])
+    report = kl_check(code, enumerate_errors(16, 1))
+    assert report.passed and report.rank == 49
+    # builds[i] counts (coset, error) pairs; each has `span` amplitudes.
+    assert len(builds) > 1 and max(builds) * span <= kl._CHUNK
+    assert sum(builds) * span == 49 << 16
+    assert max(products) <= kl._CHUNK
+    builds.clear()
+    kl_check(builtin("code8"), enumerate_errors(8, 1))
+    assert len(builds) == 1
 
 
 def test_kl_code5():
@@ -90,15 +140,15 @@ def test_kl_code8():
     assert np.allclose(np.diag(report.c_matrix), 1.0, atol=1e-12)
 
 
-def test_kl_code13_under_a_raised_cap():
-    report = kl_check(builtin("code13"), enumerate_errors(13, 1), n_cap=13)
+def test_kl_code13_at_the_default_limit():
+    report = kl_check(builtin("code13"), enumerate_errors(13, 1))
     assert report.passed and report.full_rank and report.rank == 40
 
 
-def test_kl_hamming_class4_under_a_raised_cap():
+def test_kl_hamming_class4_at_the_default_limit():
     # n = 16, k = 10: 2^10 x 2^10 Gram blocks, of which only the cells the
     # 2^16 basis indices reach are ever formed.
-    report = kl_check(hamming_class(4), enumerate_errors(16, 1), n_cap=16)
+    report = kl_check(hamming_class(4), enumerate_errors(16, 1))
     assert report.passed and report.full_rank and report.rank == 49
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qpaste import gf2
 from qpaste.catalog import builtin
-from qpaste.kl import kl_check
+from qpaste.kl import _sparse_codewords, kl_check
 from qpaste.pauli import PauliOperator, commutes, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors
@@ -130,6 +130,48 @@ def _weight2_codes() -> list[tuple[str, StabilizerCode]]:
 
 
 WEIGHT2_CODES = _weight2_codes()
+
+
+def _meets_a_discarded_image(code: StabilizerCode, errors) -> bool:
+    """Whether two distinct errors with x_a ^ x_b in the X-span map a coset
+    that some error keeps onto a discarded coset."""
+    w = reference_codewords(code)
+    kept = np.abs(w).sum(axis=0) > 0
+    span = set(_sparse_codewords(code, 1 << code.n)[3].tolist())
+    for c in range(1 << code.n):
+        if not any(kept[c ^ e.x] for e in errors):
+            continue
+        for i, a in enumerate(errors):
+            if not kept[c ^ a.x] and any(a.x ^ b.x in span for b in errors[i + 1 :]):
+                return True
+    return False
+
+
+def _discarding_codes() -> list[tuple[str, StabilizerCode, int]]:
+    rng = random.Random(6604)
+    return [
+        ("shor9", shor_code9(), 1),
+        ("code8", builtin("code8"), 1),
+        ("XX,ZZ+code5", _xx_zz(True), 1),
+        ("degenerate_code6", degenerate_code6(), 2),
+        ("x1-n6-a4", _low_x_rank_code(rng, 6, 4, 1), 2),
+        ("x2-n7-a5", _low_x_rank_code(rng, 7, 5, 2), 1),
+    ]
+
+
+DISCARDING_CODES = _discarding_codes()
+
+
+@pytest.mark.parametrize(
+    "name, code, weight", DISCARDING_CODES, ids=[name for name, _, _ in DISCARDING_CODES]
+)
+def test_same_image_pairs_on_discarded_cosets_match_reference(name, code, weight):
+    # kl_check sums every product of a same-image pair as its diagonal sum and
+    # takes its extremes over kept images alone; on a discarded image that
+    # pair's products are exactly 0 and must count nowhere.
+    errors = enumerate_errors(code.n, weight).members
+    assert _meets_a_discarded_image(code, errors)
+    assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
 
 
 @pytest.mark.parametrize("name, code", WEIGHT2_CODES, ids=[name for name, _ in WEIGHT2_CODES])

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from qpaste.catalog import builtin
-from qpaste.kl import DEFAULT_QUBIT_CAP, kl_check
+from qpaste.kl import kl_check
 from qpaste.pauli import identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import distance, enumerate_errors, verify_distance3
@@ -45,8 +45,8 @@ def small_codes(draw) -> StabilizerCode:
     return random_valid_code(rng, n, a)
 
 
-def assert_routes_agree(code: StabilizerCode, n_cap: int = DEFAULT_QUBIT_CAP) -> None:
-    kl = kl_check(code, enumerate_errors(code.n, 1), n_cap=n_cap)
+def assert_routes_agree(code: StabilizerCode) -> None:
+    kl = kl_check(code, enumerate_errors(code.n, 1))
     d3 = verify_distance3(code, allow_degenerate=True)
     no_short_logical = distance(code, min(2, code.n)) is None
     assert kl.passed == d3.ok == no_short_logical
@@ -64,7 +64,7 @@ def test_three_routes_agree(code):
 
 
 def test_three_routes_agree_on_code13():
-    # The paper's [[13,7,3]] code, past the default cap of the KL route.
+    # The paper's [[13,7,3]] code, within the KL route's default limit.
     code = builtin("code13")
-    assert_routes_agree(code, n_cap=13)
+    assert_routes_agree(code)
     assert verify_distance3(code).ok
