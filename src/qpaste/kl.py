@@ -17,17 +17,22 @@ per coset, so each coset adds its restricted inner product of E_a W and
 E_b W to one cell of the Gram block G_ab, and distinct cosets to distinct
 cells.  Whether that cell is on the diagonal depends on the pair alone:
 x_a and x_b map every coset onto the same coset when x_a ^ x_b lies in the
-X-span, and none otherwise.  ``kl_check`` streams the cosets in chunks.
-Per chunk it builds the values of all m errors' E_a W, drops the cosets
-where all of them vanish, and gets the m x m restricted inner products of
-a batch of cosets from one batched ``np.matmul``.  It reads each batch
-with one sum, which is the diagonal sum of the same-image pairs as their
-other cells hold exactly 0; the diagonal extremes of those pairs alone,
-gathered out of the batch; and one in-place |.| max for the largest entry
-off the diagonal, kept for the other pairs.  That is O(m^2 2^n) work in
+X-span, and none otherwise.  ``kl_check`` reads the errors' x bits, z
+bits and signs into three arrays once per call, then streams the cosets in
+chunks.  Per chunk it takes every error's source index and sign at every
+coset minimum from one XOR and one popcount, builds the values of all m
+errors' E_a W, drops the cosets where all of them vanish, and gets the
+m x m restricted inner products of a batch of cosets from one batched
+``np.matmul``.  It reads each batch with one sum, which is the diagonal
+sum of the same-image pairs as their other cells hold exactly 0; the
+diagonal extremes of those pairs alone, gathered out of the batch; and one
+in-place |.| max for the largest entry off the diagonal, kept for the
+other pairs.  That is O(m^2 2^n) work in
 BLAS plus O(m^2 T) elementwise over the T cosets, with no 4^k term.
+The rank of the symmetric m x m matrix C comes from one eigenvalue solve.
 Memory is O(chunk) for amplitudes and products plus O(2^n) for the
-codewords' row and value arrays, which cost O((n - k) 2^n) to build.
+codewords' row and value arrays, which cost O((n - k) 2^n) to build, as
+many generators at a time as fit one chunk.
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; by default it refuses state vectors of more
@@ -60,22 +65,30 @@ class CapExceededError(ValueError):
     """Dense-statevector work refused because a state vector would be too long."""
 
 
-def _signed_permutations(
-    ops: Sequence[PauliOperator], index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps and coefficients with (P_r v)[c] = coeff[r, c] * v[src[r, c]].
+def _columns(ops: Sequence[PauliOperator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each operator's x bits, z bits and sign as three arrays."""
+    import numpy as np
 
-    One row per operator over the basis indices ``index``, all built in one
-    vectorised step; an ``index`` of shape (..., 1, s) gives arrays of shape
-    (..., len(ops), s) instead.  P|b> = sign * (-1)^{popcount(b & z)} |b ^ x>,
-    so the amplitude at c is pulled from b = c ^ x with the phase evaluated
-    at b.
+    xs = np.array([p.x for p in ops], dtype=np.int64)
+    zs = np.array([p.z for p in ops], dtype=np.int64)
+    signs = np.array([p.sign for p in ops], dtype=float)
+    return xs, zs, signs
+
+
+def _signed_permutations(
+    xs: np.ndarray, zs: np.ndarray, signs: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps and coefficients with (P v)[c] = coeff[c] * v[src[c]].
+
+    The operators are given as columns of ``_columns``, broadcast against
+    the basis indices ``index``: an ``index`` of shape (s, 1) against m
+    columns gives arrays of shape (s, m), and one of shape (s,) against
+    columns of shape (m, 1) gives (m, s).  P|b> = sign * (-1)^{popcount(b & z)}
+    |b ^ x>, so the amplitude at c is pulled from b = c ^ x with the phase
+    evaluated at b.
     """
     import numpy as np
 
-    xs = np.array([p.x for p in ops], dtype=np.int64).reshape(-1, 1)
-    zs = np.array([p.z for p in ops], dtype=np.int64).reshape(-1, 1)
-    signs = np.array([p.sign for p in ops], dtype=float).reshape(-1, 1)
     src = index ^ xs
     coeff = np.where(np.bitwise_count(src & zs) & 1, -signs, signs)
     return src, coeff
@@ -96,6 +109,8 @@ def _sparse_codewords(
     make them orthogonal without Gram-Schmidt and leave at most one nonzero
     per index.  Each discarded coset gets a row of its own from 2^k up, in
     the same order, and value 0, so ``row`` numbers the cosets one to one.
+    The generators' index maps and signs are built as many at a time as fit
+    one chunk, so each of those arrays holds at most max(2^16, 2^n) entries.
     The third array lists each coset's smallest index in increasing order;
     the fourth is the X-span itself, the coset of 0, in increasing order.
     Before any array is built, refuses a state vector of 2^n amplitudes that
@@ -114,17 +129,24 @@ def _sparse_codewords(
     k = code.n - code.a
     target = 1 << k
     index = np.arange(dim)
-    src, coeff = _signed_permutations(code.generators, index)
+    xs, zs, signs = _columns(code.generators)
+    # Index maps and coefficients for as many generators at a time as fit
+    # one chunk: all of them at n <= 10, one at a time from n = 16.
+    per = max(1, _CHUNK // dim)
     # Label each index by the smallest member of its coset: the minimum over
     # c ^ span(x_1..x_j) is the smaller of two such minima over span(x_1..x_j-1).
     label = index
-    for s in src:
-        label = np.minimum(label, label[s])
+    for g in range(0, len(xs), per):
+        for s in index ^ xs[g : g + per, None]:
+            label = np.minimum(label, label[s])
     reps = np.flatnonzero(label == index)
     v = np.zeros(dim)
     v[reps] = 1.0
-    for s, c in zip(src, coeff):
-        v = 0.5 * (v + c * v[s])
+    for g in range(0, len(xs), per):
+        part = slice(g, g + per)
+        src, coeff = _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
+        for s, c in zip(src, coeff):
+            v = 0.5 * (v + c * v[s])
     norm = np.sqrt(np.bincount(label, weights=v * v, minlength=dim))
     kept = norm[reps] > _DISCARD_NORM
     found = np.count_nonzero(kept)
@@ -172,10 +194,13 @@ def kl_check(
     entries of a state vector; it and the code are checked before
     ``errors`` is read, so a refused check never iterates it.
 
-    Every inner product is summed from amplitudes, coset by coset, in one
+    The errors' bits and signs are read once, into three arrays.  Every
+    inner product is summed from amplitudes, coset by coset, in one
     batched matmul per chunk of cosets, read with one sum, one gather and
     one max (see the module docstring): work is O(m^2 2^n), memory
-    O(chunk) plus O(2^n), and no 4^k Gram block is ever formed.  On a
+    O(chunk) plus O(2^n), and no 4^k Gram block is ever formed.  ``rank``
+    counts the eigenvalues of C, from one symmetric eigenvalue solve, whose
+    magnitude exceeds ``np.linalg.matrix_rank``'s tolerance.  On a
     passing code ``max_deviation`` is rounding noise, and its digits below
     1e-15 depend on the order of summation.
     """
@@ -197,13 +222,13 @@ def kl_check(
     # only in row images[t, a], the row of the coset that x_a maps t onto.
     # That row equals images[t, b] for every t or for none, as the pair
     # property x_a ^ x_b in span decides; lead[a] is the row of x_a itself.
-    lead = row[[e.x for e in members]]
+    xs, zs, signs = _columns(members)
+    lead = row[xs]
     same = lead[:, None] == lead[None, :]
     pa, pb = np.nonzero(same)
     # E_a's sign at reps[t] ^ span[j] is its sign at reps[t] times
     # (-1)^popcount(span[j] & z_a).
-    zs = np.array([e.z for e in members], dtype=np.int64).reshape(-1, 1)
-    span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs) & 1)
+    span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs[:, None]) & 1)
     # Amplitudes are built for at most _CHUNK entries' worth of cosets at a
     # time, and Gram products taken over at most min(m 2^n, _CHUNK) entries'
     # worth (one coset's, when it alone needs more).
@@ -214,12 +239,13 @@ def kl_check(
     low = np.full(len(pa), np.inf)
     off = np.zeros((m, m))
     for b0 in range(0, len(reps), build):
-        heads, signs = _signed_permutations(members, reps[b0 : b0 + build].reshape(-1, 1, 1))
-        images = row[heads[:, :, 0]]
+        # heads[t, a] = reps[t] ^ x_a, the index E_a pulls coset t's minimum from.
+        heads, head_signs = _signed_permutations(xs, zs, signs, reps[b0 : b0 + build, None])
+        images = row[heads]
         live = (images < dim_k).any(axis=1)
-        heads, signs, images = heads[live], signs[live], images[live]
-        amps = np.take(value, heads ^ span)  # amps[t, a]: E_a W's values on coset t
-        amps *= signs
+        heads, head_signs, images = heads[live], head_signs[live], images[live]
+        amps = np.take(value, heads[:, :, None] ^ span)  # amps[t, a]: E_a W's values on coset t
+        amps *= head_signs[:, :, None]
         amps *= span_signs
         kept = images[:, pa] < dim_k
         for t0 in range(0, len(images), step):
@@ -244,7 +270,10 @@ def kl_check(
     # 2^k diagonal cells or none of them, and in the second case C_ab = 0.
     diagonal = c_matrix[pa, pb]
     max_deviation = float(max((high - diagonal).max(), (diagonal - low).max(), off.max()))
-    rank = int(np.linalg.matrix_rank(c_matrix))
+    # matrix_rank's tolerance, read off the eigenvalues: C is symmetric, so
+    # its singular values are their absolute values.
+    spectrum = np.abs(np.linalg.eigvalsh(c_matrix))
+    rank = int(np.count_nonzero(spectrum > spectrum.max() * m * np.finfo(float).eps))
     return KLReport(
         c_matrix=c_matrix,
         max_deviation=max_deviation,

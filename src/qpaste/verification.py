@@ -9,6 +9,7 @@ The bound arithmetic is exact big-integer throughout.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -18,6 +19,9 @@ from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
+# The error sets enumerate_errors keeps, least recently used dropped first.
+# Its cache is typed, so a float length fails as it does uncached.
+_ERROR_SETS_KEPT = 8
 
 
 def _operator(n: int, positions: tuple[int, ...], factors: tuple[int, ...]) -> PauliOperator:
@@ -63,10 +67,13 @@ class ErrorSet:
         return iter(self.members)
 
 
+@functools.lru_cache(maxsize=_ERROR_SETS_KEPT, typed=True)
 def enumerate_errors(n: int, t: int) -> ErrorSet:
     """Deterministic enumeration of all errors of weight at most ``t``.
 
-    For t = 1 the count is 3n + 1.
+    For t = 1 the count is 3n + 1.  Equal arguments return the same set
+    while it is among the last few built; an ``ErrorSet`` is immutable, so
+    sharing it is safe.
     """
     if n < 1:
         raise ValueError("need at least one qubit")

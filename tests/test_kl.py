@@ -5,7 +5,7 @@ import pytest
 
 import qpaste.kl as kl
 from qpaste.catalog import builtin, hamming_class, perfect
-from qpaste.kl import CapExceededError, _signed_permutations, kl_check
+from qpaste.kl import CapExceededError, _columns, _signed_permutations, kl_check
 from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors, verify_distance3
@@ -26,8 +26,8 @@ def test_apply_pauli_matches_dense():
         n = rng.randint(1, 5)
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
         vec = np.array([rng.uniform(-1, 1) for _ in range(1 << n)])
-        src, coeff = _signed_permutations([p], np.arange(1 << n))
-        assert np.allclose(coeff[0] * vec[src[0]], dense(format_pauli(p)) @ vec)
+        src, coeff = _signed_permutations(*_columns([p]), np.arange(1 << n)[:, None])
+        assert np.allclose(coeff[:, 0] * vec[src[:, 0]], dense(format_pauli(p)) @ vec)
 
 
 def test_codewords_code5():
@@ -57,8 +57,8 @@ def test_codewords_code8():
     code = builtin("code8")
     basis = scattered_codewords(code)
     assert basis.shape == (8, 256)
-    src, coeff = _signed_permutations(code.generators, np.arange(256))
-    for s, c in zip(src, coeff):
+    src, coeff = _signed_permutations(*_columns(code.generators), np.arange(256)[:, None])
+    for s, c in zip(src.T, coeff.T):
         assert np.allclose(c * basis[:, s], basis, atol=1e-12)
 
 
@@ -101,10 +101,11 @@ def test_amplitudes_stream_in_chunks(monkeypatch):
     builds, products = [], []
     permutations, matmul = kl._signed_permutations, np.matmul
 
-    def recording_permutations(ops, index):
-        if index.ndim == 3:
-            builds.append(index.size * len(ops))
-        return permutations(ops, index)
+    def recording_permutations(xs, zs, signs, index):
+        # A chunk of cosets comes as a column of minima against m errors.
+        if index.ndim == 2:
+            builds.append(index.size * xs.size)
+        return permutations(xs, zs, signs, index)
 
     def recording_matmul(*args, **kwargs):
         out = matmul(*args, **kwargs)
@@ -124,6 +125,27 @@ def test_amplitudes_stream_in_chunks(monkeypatch):
     builds.clear()
     kl_check(builtin("code8"), enumerate_errors(8, 1))
     assert len(builds) == 1
+
+
+def test_generator_maps_built_a_chunk_at_a_time(monkeypatch):
+    # The codeword build holds the generators' index maps for as many of
+    # them as fit one chunk: one at a time at n = 16, all at once at n = 8.
+    builds = []
+    permutations = kl._signed_permutations
+
+    def recording_permutations(xs, zs, signs, index):
+        src, coeff = permutations(xs, zs, signs, index)
+        if index.ndim == 1:
+            builds.append(src.shape)
+        return src, coeff
+
+    monkeypatch.setattr(kl, "_signed_permutations", recording_permutations)
+    code = hamming_class(4)
+    kl._sparse_codewords(code, 1 << 16)
+    assert builds == [(1, 1 << 16)] * code.a
+    builds.clear()
+    kl._sparse_codewords(builtin("code8"), 1 << 16)
+    assert builds == [(5, 256)]
 
 
 def test_kl_code5():

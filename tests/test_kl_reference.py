@@ -248,3 +248,5 @@ def test_every_product_reaches_the_report(monkeypatch, errors, weight):
         )
         assert np.allclose(report.c_matrix, c_matrix, rtol=0, atol=1e-12)
         assert abs(report.max_deviation - deviation) <= 1e-12
+        # This C is not 0/+-1: the eigen-solve's rank matches the SVD's.
+        assert report.rank == np.linalg.matrix_rank(c_matrix)

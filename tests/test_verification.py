@@ -3,7 +3,9 @@ import tracemalloc
 
 import pytest
 
+import qpaste.verification as verification
 from qpaste.catalog import builtin
+from qpaste.kl import kl_check
 from qpaste.pauli import format_pauli, parse_pauli
 from qpaste.stabilizer import InvalidCodeError, StabilizerCode
 from qpaste.verification import (
@@ -43,6 +45,22 @@ def test_error_order_frozen():
     assert list(enumerate_errors(2, 1)) == list(enumerate_errors(2, 1).members)
     weight2 = [format_pauli(e) for e in enumerate_errors(2, 2).members[7:10]]
     assert weight2 == ["XX", "XY", "XZ"]
+
+
+def test_error_sets_are_shared_and_bounded():
+    # Equal arguments return the same immutable set; the memo holds a fixed
+    # number of sets however many lengths are asked for.
+    errors = enumerate_errors(5, 1)
+    assert enumerate_errors(5, 1) is errors
+    before = [(e.n, e.x, e.z, e.sign) for e in errors.members]
+    kl_check(builtin("code5"), errors)
+    assert [(e.n, e.x, e.z, e.sign) for e in errors.members] == before
+    assert enumerate_errors(5, 1) is errors
+    for n in range(1, 3 * verification._ERROR_SETS_KEPT):
+        enumerate_errors(n, 1)
+    info = enumerate_errors.cache_info()
+    assert info.maxsize == verification._ERROR_SETS_KEPT
+    assert info.currsize == verification._ERROR_SETS_KEPT
 
 
 def test_error_range_checks():
