@@ -13,21 +13,23 @@ class Eliminator:
     """Incremental Gaussian elimination with combination tracking.
 
     Every inserted row is tagged in the bits above ``width``, so reducing a
-    vector also records which of the inserted rows XOR to it.
+    vector also records which of the inserted rows XOR to it.  Each pivot
+    is kept with its column's bit, so reducing tests ``aug & bit`` rather
+    than shifting the whole row once per pivot.
     """
 
     def __init__(self, width: int, rows: Iterable[int] = ()):
         self.width = width
         self._mask = (1 << width) - 1
-        self._pivots: list[tuple[int, int]] = []
+        self._pivots: list[tuple[int, int]] = []  # (pivot column's bit, row)
         self._count = 0
         self.dependent: list[int] = []
         for row in rows:
             self.add(row)
 
     def _reduce(self, aug: int) -> int:
-        for col, pivot_row in self._pivots:
-            if (aug >> col) & 1:
+        for bit, pivot_row in self._pivots:
+            if aug & bit:
                 aug ^= pivot_row
         return aug
 
@@ -40,8 +42,7 @@ class Eliminator:
         if data == 0:
             self.dependent.append(index)
             return False
-        col = (data & -data).bit_length() - 1
-        self._pivots.append((col, aug))
+        self._pivots.append((data & -data, aug))
         return True
 
     @property

@@ -11,11 +11,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import xor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import gf2
-from .pauli import PauliOperator, commutes, identity, multiply, y_count
+from .pauli import PauliOperator, identity, multiply, y_count
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -34,28 +33,53 @@ def _pack(p: PauliOperator) -> int:
     return p.x | (p.z << p.n)
 
 
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
-    """Columns of a bit matrix: bit j of column i is bit i of ``rows[j]``.
+# (shift, mask) of the three delta swaps that transpose an 8x8 bit matrix
+# held in a 64-bit word, row j in byte j (Hacker's Delight, section 7-3).
+_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
-    A row's binary text, read as a big-endian int, holds ASCII "0" or "1"
-    in byte i for bit i; less the same int for "00...0" it holds 0 or 1.
-    Eight such rows shifted by 0..7 add without carries into one int
-    whose byte i holds column i's bits for those rows.  The bytes of
-    eight such groups fill column i's 64-bit lane in the host's byte
-    order, so one native cast reads every column of 64 rows as an int.
+
+def _lane_ints(
+    rows: Sequence[int], width: int, size: int, place: Callable[[bytearray, int, int], None]
+) -> list[int]:
+    """``size`` ints of ``len(rows)`` bits each, built from the columns of
+    the ``width``-bit ``rows``.
+
+    Eight rows at a time become one int whose byte i holds column i of
+    those rows, row j at bit j: the rows' little-endian bytes are
+    interleaved, so 64-bit word m is the 8x8 bit matrix of each row's
+    byte m, and the delta swaps transpose every word at once.
+    ``place(lanes, columns, offset)`` writes such an int's bytes into byte
+    ``offset`` of 8-byte lanes.  The bytes of eight groups fill each lane
+    in the host's byte order, so one native cast reads 64 rows of every
+    output int.
     """
-    zeros = int.from_bytes(b"0" * width, "big")
-    columns = [0] * width
+    row_bytes = (width + 7) // 8
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * row_bytes, "little")
+    swaps = [(shift, mask * ones) for shift, mask in _DELTA_SWAPS]
+    ints = [0] * size
     for start in range(0, len(rows), 64):
-        lanes = bytearray(8 * width)
+        lanes = bytearray(8 * size)
         for byte, first in enumerate(range(start, min(start + 64, len(rows)), 8)):
-            acc = 0
+            words = bytearray(8 * row_bytes)
             for j, row in enumerate(rows[first : first + 8]):
-                acc |= (int.from_bytes(format(row, f"0{width}b").encode(), "big") - zeros) << j
-            lanes[byte if _LITTLE_ENDIAN else 7 - byte :: 8] = acc.to_bytes(width, "little")
+                words[j::8] = row.to_bytes(row_bytes, "little")
+            columns = int.from_bytes(words, "little")
+            for shift, mask in swaps:
+                t = (columns ^ (columns >> shift)) & mask
+                columns ^= t ^ (t << shift)
+            place(lanes, columns, byte if _LITTLE_ENDIAN else 7 - byte)
         block = memoryview(lanes).cast("Q").tolist()
-        columns = block if not start else [c | (b << start) for c, b in zip(columns, block)]
-    return columns
+        ints = block if not start else [c | (b << start) for c, b in zip(ints, block)]
+    return ints
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Columns of a bit matrix: bit j of column i is bit i of ``rows[j]``."""
+
+    def place(lanes: bytearray, columns: int, offset: int) -> None:
+        lanes[offset::8] = columns.to_bytes(width, "little")
+
+    return _lane_ints(rows, width, width, place)
 
 
 def _check_rows(rows: Sequence[PauliOperator], n: int | None, noun: str) -> int:
@@ -80,16 +104,18 @@ class StabilizerCode:
 
     Construction checks only shape (equal lengths, +1 signs); the group
     invariants are checked by :func:`validate` so that broken inputs can be
-    reported rather than refused.  Instances are immutable; the GF(2)
-    elimination cache used for membership tests is built eagerly, the
-    validation report and the weight-<=1 syndrome keys on first use.
+    reported rather than refused.  Instances are immutable; the packed
+    symplectic rows and the GF(2) elimination cache used for membership
+    tests are built eagerly, the validation report and the weight-<=1
+    syndrome keys on first use.
     """
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
         gens = tuple(generators)
         self.n = _check_rows(gens, n, "generator")
         self.generators = gens
-        self._elim = gf2.Eliminator(2 * self.n, [_pack(g) for g in gens])
+        self._packed = tuple([_pack(g) for g in gens])
+        self._elim = gf2.Eliminator(2 * self.n, self._packed)
 
     @property
     def a(self) -> int:
@@ -102,17 +128,23 @@ class StabilizerCode:
 
         Generator j is bit j of a key.  X on qubit i anticommutes with the
         generators whose z part has bit i, Z with those whose x part has it,
-        and Y = X.Z with exactly one of the two, so the keys are the
-        transposed generator matrix.
+        and Y = X.Z with exactly one of the two, so the keys are the columns
+        of the generators' z, x ^ z and x parts, interleaved.  The Y lanes
+        are one XOR of the X and Z lanes, and each part fills every third
+        lane with one strided write.
         """
         n = self.n
-        columns = _transpose([_pack(g) for g in self.generators], 2 * n)
-        x_part, z_part = columns[:n], columns[n:]
-        keys = [0] * (3 * n + 1)
-        keys[1::3] = z_part
-        keys[2::3] = map(xor, x_part, z_part)
-        keys[3::3] = x_part
-        return keys
+        low = (1 << 8 * n) - 1
+
+        def place(lanes: bytearray, columns: int, offset: int) -> None:
+            # Bytes 0..n-1 hold the columns of the x parts, bytes n..2n-1 those of the z parts.
+            x = columns & low
+            z = columns >> 8 * n
+            lanes[8 + offset :: 24] = z.to_bytes(n, "little")
+            lanes[16 + offset :: 24] = (x ^ z).to_bytes(n, "little")
+            lanes[24 + offset :: 24] = x.to_bytes(n, "little")
+
+        return _lane_ints(self._packed, 2 * n, 3 * n + 1, place)
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -183,9 +215,13 @@ def _check_invariants(code: StabilizerCode) -> ValidationReport:
             violations.append(
                 Violation("square", (i,), f"generator {i} squares to -1 (odd Y count)")
             )
-    for i in range(len(gens)):
+    # Generators i and j anticommute when x_i.z_j + z_i.x_j is odd: the
+    # packed row i against row j with its x and z parts swapped.
+    n = code.n
+    swapped = [g.z | (g.x << n) for g in gens]
+    for i, row in enumerate(code._packed):
         for j in range(i + 1, len(gens)):
-            if commutes(gens[i], gens[j]):
+            if (row & swapped[j]).bit_count() & 1:
                 violations.append(
                     Violation(
                         "anticommute",

@@ -116,7 +116,8 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     # Error index 0 is the identity, 3i + f + 1 is factor f on qubit i:
     # the canonical order of enumerate_errors(n, 1).
     keys = code._syndrome_keys
-    if len(set(keys)) == len(keys):
+    # With 2^a < 3n + 1 the a-bit keys cannot all differ: scan for the first collision.
+    if len(keys) <= 1 << code.a and len(set(keys)) == len(keys):
         return DistanceReport(True, False, len(keys), len(keys), None, ())
     seen: dict[int, int] = {}
     excused: list[tuple[PauliOperator, PauliOperator]] = []

@@ -137,6 +137,65 @@ def np_in_span(rows: list[str], candidate: str) -> bool:
     return np_gf2_rank(stacked) == np_gf2_rank(base)
 
 
+class ReferenceEliminator:
+    """Plain GF(2) elimination, apart from ``gf2.Eliminator``: each basis row
+    keeps the set of inserted rows that XOR to it, pivots on its highest bit
+    and is reduced one bit test at a time, highest bit first."""
+
+    def __init__(self, width: int, rows: list[int]):
+        self.width = width
+        self.basis: dict[int, tuple[int, int]] = {}  # top bit -> (row, combination)
+        self.dependent: list[int] = []
+        for index, row in enumerate(rows):
+            rest, combination = self._reduce(row, 1 << index)
+            if rest:
+                self.basis[rest.bit_length() - 1] = (rest, combination)
+            else:
+                self.dependent.append(index)
+
+    def _reduce(self, row: int, combination: int) -> tuple[int, int]:
+        for bit in reversed(range(self.width)):
+            if (row >> bit) & 1 and bit in self.basis:
+                pivot_row, pivot_combination = self.basis[bit]
+                row ^= pivot_row
+                combination ^= pivot_combination
+        return row, combination
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def solve(self, target: int) -> int | None:
+        rest, combination = self._reduce(target, 0)
+        return None if rest else combination
+
+
+def reference_violations(code: StabilizerCode) -> tuple[Violation, ...]:
+    """validate's violations from one y_count per generator, one commutes per
+    pair and the reference elimination of the symplectic rows."""
+    gens = code.generators
+    out = [
+        Violation("square", (i,), f"generator {i} squares to -1 (odd Y count)")
+        for i, g in enumerate(gens, start=1)
+        if y_count(g) & 1
+    ]
+    out += [
+        Violation("anticommute", (i, j), f"generators {i} and {j} anticommute")
+        for i, j in combinations(range(1, len(gens) + 1), 2)
+        if commutes(gens[i - 1], gens[j - 1])
+    ]
+    elim = ReferenceEliminator(2 * code.n, [g.x | (g.z << code.n) for g in gens])
+    out += [
+        Violation(
+            "rank",
+            (i + 1,),
+            f"generator {i + 1} is a product of earlier ones, rank {elim.rank} < {code.a}",
+        )
+        for i in elim.dependent
+    ]
+    return tuple(out)
+
+
 def random_pauli(rng: random.Random, n: int) -> PauliOperator:
     return PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
 

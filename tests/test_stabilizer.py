@@ -19,7 +19,14 @@ from qpaste.stabilizer import (
     validate,
 )
 
-from helpers import Syndrome, char_syndrome, random_pauli, same_group, syndrome
+from helpers import (
+    Syndrome,
+    char_syndrome,
+    random_pauli,
+    reference_violations,
+    same_group,
+    syndrome,
+)
 
 
 def from_strings(*rows):
@@ -93,6 +100,38 @@ def test_validate_odd_square():
     report = validate(from_strings("Y"))
     assert not report.ok
     assert report.violations[0].kind == "square"
+
+
+def _invalid_generator_set(rng: random.Random, n: int, a: int) -> StabilizerCode:
+    """Random rows, sparse X-only and Z-only rows (few anticommuting pairs,
+    no Y) or single-qubit factors, with products of earlier rows mixed in."""
+    mode = rng.randrange(3)
+    rows: list[PauliOperator] = []
+    for _ in range(a):
+        if rows and rng.random() < 0.15:
+            p, q = rng.choice(rows), rng.choice(rows)
+            rows.append(PauliOperator(n, p.x ^ q.x, p.z ^ q.z))
+        elif mode == 0:
+            rows.append(PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)))
+        elif mode == 1:
+            bits = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            x_only = rng.random() < 0.5
+            rows.append(PauliOperator(n, bits, 0) if x_only else PauliOperator(n, 0, bits))
+        else:
+            bit = 1 << rng.randrange(n)
+            x, z = rng.choice(((1, 0), (1, 1), (0, 1)))
+            rows.append(PauliOperator(n, bit * x, bit * z))
+    return StabilizerCode(rows, n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_matches_per_pair_reference(seed):
+    rng = random.Random(seed)
+    n, a = (130, 70) if seed == 0 else (rng.randint(1, 130), rng.randint(1, 70))
+    code = _invalid_generator_set(rng, n, a)
+    report = validate(code)
+    assert report.violations == reference_violations(code)
+    assert report.ok == (not report.violations)
 
 
 def test_syndrome_identity_is_zero():

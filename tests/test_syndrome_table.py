@@ -86,12 +86,13 @@ def test_transpose_matches_reference(width):
         assert _transpose([ones] * count, width) == [(1 << count) - 1] * width
 
 
-@pytest.mark.parametrize("a", [0, 1, 8, 63, 64, 65, 70])
+@pytest.mark.parametrize("a", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
 def test_flat_keys_for_any_row_count(a):
     # Keys need only the rows' shape, so unchecked random rows reach past the
-    # 64 rows one lane holds.
+    # 64 rows one lane holds; row counts off a multiple of 8 end a lane's
+    # bytes mid-way, and widths off a multiple of 8 end a row's bytes mid-way.
     rng = random.Random(a)
-    for n in (1, 5, 33):
+    for n in (1, 5, 8, 9, 33, 1365):
         rows = [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(a)]
         code = StabilizerCode(rows, n)
         assert code._syndrome_keys == _reference_keys(code)
