@@ -16,9 +16,8 @@ arguments return the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .pauli import PauliOperator, parse_pauli
 from .stabilizer import StabilizerCode, _transpose
@@ -72,8 +71,7 @@ _PRIMITIVE_POLY = {
     12: 0b1000001010011,
 }
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     code: StabilizerCode
     provenance: str  # "builtin" | "pasted" | "constructed-family"

@@ -43,8 +43,7 @@ use it, so importing the package does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .pauli import PauliOperator
 from .stabilizer import StabilizerCode, _require_valid
@@ -162,8 +161,7 @@ def _sparse_codewords(
     return position[label], value, reps, np.flatnonzero(label == 0)
 
 
-@dataclass(frozen=True)
-class KLReport:
+class KLReport(NamedTuple):
     """Error-pair Gram structure of a code.
 
     ``c_matrix`` holds C_ab averaged over the codeword diagonal;

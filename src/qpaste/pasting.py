@@ -16,9 +16,8 @@ look like an error on the original qubits alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from . import gf2
 from .pauli import PauliOperator, identity, tensor
@@ -126,8 +125,7 @@ def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:
     return StabilizerCode(new_gens, n)
 
 
-@dataclass(frozen=True)
-class PasteCheck:
+class PasteCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -136,8 +134,7 @@ class PasteCheck:
         return f"{self.name}: {'pass' if self.ok else 'FAIL'} ({self.detail})"
 
 
-@dataclass(frozen=True)
-class PasteDiagnostics:
+class PasteDiagnostics(NamedTuple):
     """Named results of every pasting precondition."""
 
     checks: tuple[PasteCheck, ...]

@@ -12,7 +12,7 @@ the leftmost character of the text form ("XXZIZ") is qubit 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _FACTOR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_FACTOR = {bits: ch for ch, bits in _FACTOR_BITS.items()}
@@ -27,23 +27,38 @@ class PauliParseError(ValueError):
     """Raised when a Pauli string cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """Immutable n-qubit Pauli product."""
-
+class _PauliFields(NamedTuple):
     n: int
     x: int
     z: int
     sign: int = 1
 
+
+class PauliOperator(_PauliFields):
+    """Immutable n-qubit Pauli product, the named tuple (n, x, z, sign)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, z: int, sign: int = 1):
+        self = tuple.__new__(cls, (n, x, z, sign))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too.
+        return cls(*iterable)
+
     def __post_init__(self):
-        if self.n < 1:
+        """Check the fields; every construction calls it."""
+        n, x, z, sign = self
+        if n < 1:
             raise ValueError("a Pauli operator needs at least one qubit")
-        limit = 1 << self.n
-        if not (0 <= self.x < limit and 0 <= self.z < limit):
-            raise ValueError(f"bit vectors do not fit {self.n} qubits")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        limit = 1 << n
+        if not (0 <= x < limit and 0 <= z < limit):
+            raise ValueError(f"bit vectors do not fit {n} qubits")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
     def factor(self, qubit: int) -> str:
         """Single-qubit factor letter at 1-based position ``qubit``."""

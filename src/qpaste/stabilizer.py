@@ -9,9 +9,8 @@ order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .pauli import PauliOperator, identity, multiply, y_count
@@ -163,8 +162,7 @@ class StabilizerCode:
         return f"StabilizerCode(n={self.n}, a={self.a})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed generator-set invariant; indices are 1-based."""
 
     kind: str  # "anticommute" | "square" | "rank"
@@ -175,14 +173,12 @@ class Violation:
         return f"{self.kind} {self.rows}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class CodeParameters:
+class CodeParameters(NamedTuple):
     """n physical qubits, a generators, k = n - a encoded qubits."""
 
     n: int

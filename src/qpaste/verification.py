@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .pauli import _FACTOR_BITS, PauliOperator, identity
 from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid
@@ -52,13 +51,40 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
             yield _operator(n, positions, factors)
 
 
-@dataclass(frozen=True)
 class ErrorSet:
-    """All weight <= ``max_weight`` errors on ``n`` qubits, identity first."""
+    """All weight <= ``max_weight`` errors on ``n`` qubits, identity first.
 
-    n: int
-    max_weight: int
-    members: tuple[PauliOperator, ...]
+    Immutable; iterating it yields the members, so it is not a named tuple.
+    """
+
+    __slots__ = ("n", "max_weight", "members")
+
+    def __init__(self, n: int, max_weight: int, members: tuple[PauliOperator, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "members", members)
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot change field {name!r} of an ErrorSet")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _key(self) -> tuple:
+        return self.n, self.max_weight, self.members
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ErrorSet(n={self.n!r}, max_weight={self.max_weight!r}, members={self.members!r})"
+
+    def __reduce__(self):
+        return ErrorSet, self._key()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -85,8 +111,7 @@ def enumerate_errors(n: int, t: int) -> ErrorSet:
     return ErrorSet(n, t, tuple(members))
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Outcome of the weight-1 syndrome distinctness check.
 
     ``ok`` means every collision (if any) was excused by group membership;

@@ -9,7 +9,7 @@ elimination.  They exist to cross-check the fast implementation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -494,7 +494,7 @@ def fail_distance3_on(monkeypatch, n: int) -> None:
         if code.n != n:
             return report
         x1, _, z1 = enumerate_errors(n, 1).members[1:4]
-        return replace(report, ok=False, witness=(x1, z1))
+        return report._replace(ok=False, witness=(x1, z1))
 
     monkeypatch.setattr(pasting, "verify_distance3", failing)
 

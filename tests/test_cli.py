@@ -414,7 +414,9 @@ def test_non_kl_commands_do_not_import_numpy():
     probe = (
         "import sys, qpaste, qpaste.cli; "
         "assert qpaste.cli.main(['bound', '13']) == 0; "
-        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'; "
+        "loaded = {'dataclasses', 'inspect'} & sys.modules.keys(); "
+        "assert not loaded, f'start-up imported {sorted(loaded)}'"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True

@@ -238,3 +238,5 @@ def test_constructor_validation():
         PauliOperator(2, 4, 0)
     with pytest.raises(ValueError):
         PauliOperator(2, 0, 0, 2)
+    with pytest.raises(ValueError):
+        PauliOperator(2, 0, 0)._replace(x=4)

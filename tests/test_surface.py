@@ -92,7 +92,7 @@ def test_retired_name_does_not_import(name):
 def test_retired_members_are_gone():
     assert not hasattr(gf2, "rank") and not hasattr(gf2, "rref")
     assert not hasattr(StabilizerCode, "syndrome_table")
-    assert "t" not in CodeParameters.__dataclass_fields__
+    assert "t" not in CodeParameters._fields
 
 
 def test_readme_python_blocks_run():
