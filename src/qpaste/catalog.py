@@ -19,8 +19,9 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple, Sequence
 
+from . import gf2
 from .pauli import PauliOperator, parse_pauli
-from .stabilizer import StabilizerCode, _transpose
+from .stabilizer import StabilizerCode
 from .pasting import _prove_one_error, paste
 from .verification import perfect_length
 
@@ -110,28 +111,23 @@ def _builtin(name: str) -> StabilizerCode:
     return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
 
 
-def _mixer_images(m: int, mixer: Sequence[int] | None) -> list[int]:
-    """Image L(v) for every label v, in integer order, by linearity.
+def _mixer_columns(m: int, mixer: Sequence[int] | None) -> list[int]:
+    """L's m columns: column c is the image of the label with only bit c set.
 
-    L's columns are the images of 1, x, ..., x^(m-1) under multiplication by
-    x modulo the fixed polynomial, or the columns of explicit matrix rows;
-    each column doubles the list, pairing the images so far with it.
+    They are the images of 1, x, ..., x^(m-1) under multiplication by x
+    modulo the fixed polynomial, or the columns of explicit matrix rows,
+    whose bits at and above m are ignored.
     """
     if mixer is None:
         poly = _PRIMITIVE_POLY.get(m)
         if poly is None:
             raise ValueError(f"no default mixing polynomial for degree {m}")
         # x * x^(m-1) = x^m, which the polynomial reduces to its lower terms.
-        columns = [1 << (c + 1) for c in range(m - 1)] + [poly ^ (1 << m)]
-    else:
-        rows = list(mixer)
-        if len(rows) != m:
-            raise ValueError(f"mixer needs {m} rows, got {len(rows)}")
-        columns = [sum(((row >> c) & 1) << r for r, row in enumerate(rows)) for c in range(m)]
-    images = [0]
-    for column in columns:
-        images += [i ^ column for i in images]
-    return images
+        return [1 << (c + 1) for c in range(m - 1)] + [poly ^ (1 << m)]
+    rows = list(mixer)
+    if len(rows) != m:
+        raise ValueError(f"mixer needs {m} rows, got {len(rows)}")
+    return [sum(((row >> c) & 1) << r for r, row in enumerate(rows)) for c in range(m)]
 
 
 def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
@@ -144,6 +140,11 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
     syndromes are 01|v, 10|Lv and 11|(L+I)v for X, Z and Y errors on
     qubit v, all distinct because v, Lv and (L+I)v are bijections.
 
+    The rows are built from L's m columns by linearity: the z part of row
+    2+r repeats a block of 2^r clear and 2^r set bits, and since (L v)_r
+    is the sum of v_c over the columns c with L[r][c] = 1, its x part is
+    the XOR of the z parts of rows 2+c for those c.
+
     The default L is multiplication by x modulo a fixed primitive
     polynomial of degree m; pass ``mixer`` (m row bitmasks) to use another
     matrix.  For m = 3 with the default mixer the builtin 8-qubit code is
@@ -154,27 +155,39 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
         raise ValueError(f"m={m} rejected: k = n - m - 2 would not be positive")
     if mixer is None:
         return _default_hamming_class(m)
-    return _build_hamming_class(m, _mixer_images(m, mixer))
+    return _build_hamming_class(m, _mixer_columns(m, mixer))
 
 
 @cache
 def _default_hamming_class(m: int) -> StabilizerCode:
     if m == 3:
         return builtin("code8")
-    return _build_hamming_class(m, _mixer_images(m, None))
+    return _build_hamming_class(m, _mixer_columns(m, None))
 
 
-def _build_hamming_class(m: int, images: list[int]) -> StabilizerCode:
-    n = 1 << m
-    if len(set(images)) != n or len({v ^ img for v, img in enumerate(images)}) != n:
+def _build_hamming_class(m: int, columns: list[int]) -> StabilizerCode:
+    successor = [column ^ (1 << c) for c, column in enumerate(columns)]  # L + I
+    if gf2.Eliminator(m, columns).rank != m or gf2.Eliminator(m, successor).rank != m:
         raise ValueError(
             "mixer rejected: the matrix and its successor (L and L+I) must "
             "both be invertible"
         )
+    n = 1 << m
     ones = (1 << n) - 1
     gens = [PauliOperator(n, ones, 0, 1), PauliOperator(n, 0, ones, 1)]
-    # Row 2+r has bit v of its x part set where (L v)_r = 1, of its z part where v_r = 1.
-    for x_bits, z_bits in zip(_transpose(images, m), _transpose(range(n), m)):
+    z_rows = []
+    for r in range(m):
+        half = 1 << r
+        row, width = ((1 << half) - 1) << half, 2 * half  # bit v set where v_r = 1, for v < width
+        while width < n:
+            row |= row << width
+            width *= 2
+        z_rows.append(row)
+    for r, z_bits in enumerate(z_rows):
+        x_bits = 0
+        for column, z_row in zip(columns, z_rows):
+            if column >> r & 1:
+                x_bits ^= z_row
         gens.append(PauliOperator(n, x_bits, z_bits, 1))
     return _checked(StabilizerCode(gens), n, m + 2, f"hamming_class({m})")
 

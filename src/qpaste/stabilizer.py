@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .pauli import PauliOperator, identity, multiply, y_count
@@ -35,50 +35,6 @@ def _pack(p: PauliOperator) -> int:
 # (shift, mask) of the three delta swaps that transpose an 8x8 bit matrix
 # held in a 64-bit word, row j in byte j (Hacker's Delight, section 7-3).
 _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-
-
-def _lane_ints(
-    rows: Sequence[int], width: int, size: int, place: Callable[[bytearray, int, int], None]
-) -> list[int]:
-    """``size`` ints of ``len(rows)`` bits each, built from the columns of
-    the ``width``-bit ``rows``.
-
-    Eight rows at a time become one int whose byte i holds column i of
-    those rows, row j at bit j: the rows' little-endian bytes are
-    interleaved, so 64-bit word m is the 8x8 bit matrix of each row's
-    byte m, and the delta swaps transpose every word at once.
-    ``place(lanes, columns, offset)`` writes such an int's bytes into byte
-    ``offset`` of 8-byte lanes.  The bytes of eight groups fill each lane
-    in the host's byte order, so one native cast reads 64 rows of every
-    output int.
-    """
-    row_bytes = (width + 7) // 8
-    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * row_bytes, "little")
-    swaps = [(shift, mask * ones) for shift, mask in _DELTA_SWAPS]
-    ints = [0] * size
-    for start in range(0, len(rows), 64):
-        lanes = bytearray(8 * size)
-        for byte, first in enumerate(range(start, min(start + 64, len(rows)), 8)):
-            words = bytearray(8 * row_bytes)
-            for j, row in enumerate(rows[first : first + 8]):
-                words[j::8] = row.to_bytes(row_bytes, "little")
-            columns = int.from_bytes(words, "little")
-            for shift, mask in swaps:
-                t = (columns ^ (columns >> shift)) & mask
-                columns ^= t ^ (t << shift)
-            place(lanes, columns, byte if _LITTLE_ENDIAN else 7 - byte)
-        block = memoryview(lanes).cast("Q").tolist()
-        ints = block if not start else [c | (b << start) for c, b in zip(ints, block)]
-    return ints
-
-
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
-    """Columns of a bit matrix: bit j of column i is bit i of ``rows[j]``."""
-
-    def place(lanes: bytearray, columns: int, offset: int) -> None:
-        lanes[offset::8] = columns.to_bytes(width, "little")
-
-    return _lane_ints(rows, width, width, place)
 
 
 def _check_rows(rows: Sequence[PauliOperator], n: int | None, noun: str) -> int:
@@ -133,17 +89,38 @@ class StabilizerCode:
         lane with one strided write.
         """
         n = self.n
+        rows = self._packed
+        # Eight rows at a time become one int whose byte i holds column i of
+        # those rows, row j at bit j: the rows' little-endian bytes are
+        # interleaved, so 64-bit word m is the 8x8 bit matrix of each row's
+        # byte m, and the delta swaps transpose every word at once.  The bytes
+        # of eight groups fill each 8-byte lane in the host's byte order, so
+        # one native cast reads 64 rows of every key.
+        row_bytes = (2 * n + 7) // 8
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * row_bytes, "little")
+        swaps = [(shift, mask * ones) for shift, mask in _DELTA_SWAPS]
         low = (1 << 8 * n) - 1
-
-        def place(lanes: bytearray, columns: int, offset: int) -> None:
-            # Bytes 0..n-1 hold the columns of the x parts, bytes n..2n-1 those of the z parts.
-            x = columns & low
-            z = columns >> 8 * n
-            lanes[8 + offset :: 24] = z.to_bytes(n, "little")
-            lanes[16 + offset :: 24] = (x ^ z).to_bytes(n, "little")
-            lanes[24 + offset :: 24] = x.to_bytes(n, "little")
-
-        return _lane_ints(self._packed, 2 * n, 3 * n + 1, place)
+        keys = [0] * (3 * n + 1)
+        for start in range(0, len(rows), 64):
+            lanes = bytearray(8 * len(keys))
+            for byte, first in enumerate(range(start, min(start + 64, len(rows)), 8)):
+                words = bytearray(8 * row_bytes)
+                for j, row in enumerate(rows[first : first + 8]):
+                    words[j::8] = row.to_bytes(row_bytes, "little")
+                columns = int.from_bytes(words, "little")
+                for shift, mask in swaps:
+                    t = (columns ^ (columns >> shift)) & mask
+                    columns ^= t ^ (t << shift)
+                offset = byte if _LITTLE_ENDIAN else 7 - byte
+                # Bytes 0..n-1 hold the columns of the x parts, bytes n..2n-1 those of the z parts.
+                x = columns & low
+                z = columns >> 8 * n
+                lanes[8 + offset :: 24] = z.to_bytes(n, "little")
+                lanes[16 + offset :: 24] = (x ^ z).to_bytes(n, "little")
+                lanes[24 + offset :: 24] = x.to_bytes(n, "little")
+            block = memoryview(lanes).cast("Q").tolist()
+            keys = block if not start else [c | (b << start) for c, b in zip(keys, block)]
+        return keys
 
     @cached_property
     def _validation(self) -> ValidationReport:

@@ -236,7 +236,7 @@ def random_mixer(rng: random.Random, m: int) -> list[int]:
         return rows
 
 
-def reference_mixer_images(m: int, rows: list[int]) -> list[int]:
+def reference_label_images(m: int, rows: list[int]) -> list[int]:
     """L(v) for every label v, one parity per row and label: (L v)_r = <row_r, v>."""
     images = []
     for v in range(1 << m):
@@ -245,6 +245,21 @@ def reference_mixer_images(m: int, rows: list[int]) -> list[int]:
             image |= ((row & v).bit_count() & 1) << r
         images.append(image)
     return images
+
+
+def reference_hamming_rows(m: int, rows: list[int]) -> list[PauliOperator]:
+    """Rows 3..m+2 of the 2^m family member with mixer ``rows``, label by label:
+    row 2+r has an x bit on qubit v where (L v)_r = 1 and a z bit where v_r = 1."""
+    n = 1 << m
+    images = reference_label_images(m, rows)
+    return [
+        PauliOperator(
+            n,
+            sum(((images[v] >> r) & 1) << v for v in range(n)),
+            sum(((v >> r) & 1) << v for v in range(n)),
+        )
+        for r in range(m)
+    ]
 
 
 def permute_qubits(code: StabilizerCode, perm: list[int]) -> StabilizerCode:

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from qpaste import catalog, pasting
-from qpaste.catalog import _mixer_images, builtin, entries, hamming_class, perfect
+from qpaste.catalog import builtin, entries, hamming_class, perfect
 from qpaste.files import dumps
 from qpaste.pauli import format_pauli
 from qpaste.pasting import locate_xz_generators
@@ -21,7 +21,8 @@ from helpers import (
     fail_distance3_on,
     fail_validation_on,
     random_mixer,
-    reference_mixer_images,
+    reference_hamming_rows,
+    reference_label_images,
     syndrome,
 )
 
@@ -178,16 +179,37 @@ def test_perfect_golden(j):
     assert _sha256(perfect(j, j_max=6)) == PERFECT_SHA256[j]
 
 
-@pytest.mark.parametrize("m", range(1, 11))
-def test_mixer_images_match_parity_reference(m):
+@pytest.mark.parametrize("m", range(3, 11))
+def test_hamming_rows_match_label_reference(m):
     rng = random.Random(m)
-    for wide in (False, True):
-        # Wide rows carry bits at and above m, which L must ignore.
-        rows = [rng.getrandbits(m + 3 if wide else m) for _ in range(m)]
-        assert _mixer_images(m, rows) == reference_mixer_images(m, rows)
-    if m >= 2:  # for m = 1, L = 1 leaves L + I = 0 singular
-        mixer = random_mixer(rng, m)
-        assert _mixer_images(m, mixer) == reference_mixer_images(m, mixer)
+    mixer = random_mixer(rng, m)
+    # The same mixer with bits at and above m, which L must ignore.
+    wide = [row | (rng.getrandbits(3) << m) for row in mixer]
+    for rows in (mixer, wide):
+        code = hamming_class(m, mixer=rows)
+        assert list(code.generators[2:]) == reference_hamming_rows(m, mixer)
+
+
+def _bijective(m: int, rows: list[int]) -> bool:
+    return len(set(reference_label_images(m, rows))) == 1 << m
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_mixer_rejected_exactly_when_a_labelling_is_not_a_bijection(m):
+    rng = random.Random(100 + m)
+    outcomes = set()
+    for _ in range(100):
+        rows = [rng.getrandbits(m) for _ in range(m)]
+        successor = [row ^ (1 << r) for r, row in enumerate(rows)]  # L + I
+        accepted = _bijective(m, rows) and _bijective(m, successor)
+        if accepted:
+            code = hamming_class(m, mixer=rows)
+            assert list(code.generators[2:]) == reference_hamming_rows(m, rows)
+        else:
+            with pytest.raises(ValueError, match="^mixer rejected: "):
+                hamming_class(m, mixer=rows)
+        outcomes.add(accepted)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1])
