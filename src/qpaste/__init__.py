@@ -31,7 +31,6 @@ from .stabilizer import (
 from .verification import (
     BoundStatus,
     DistanceReport,
-    ErrorSet,
     best_k,
     distance,
     enumerate_errors,
@@ -82,7 +81,6 @@ __all__ = [
     "validate",
     "BoundStatus",
     "DistanceReport",
-    "ErrorSet",
     "best_k",
     "distance",
     "enumerate_errors",

@@ -75,7 +75,7 @@ _PRIMITIVE_POLY = {
 class CatalogEntry(NamedTuple):
     name: str
     code: StabilizerCode
-    provenance: str  # "builtin" | "pasted" | "constructed-family"
+    provenance: str  # "builtin" or "pasted", as in _BUILTINS
     n: int
     a: int
     k: int

@@ -58,6 +58,8 @@ DEFAULT_MAX_AMPLITUDES = 1 << 16
 # builds its weight-<=1 amplitudes, at most 31 * 2^10 entries, in one chunk.
 _CHUNK = 1 << 16
 _DISCARD_NORM = 1e-8
+# A check passes when every inner product is this close to C_ab * delta_ij.
+_TOLERANCE = 1e-10
 
 
 class CapExceededError(ValueError):
@@ -174,22 +176,20 @@ class KLReport(NamedTuple):
     passed: bool
     rank: int
     full_rank: bool
-    tolerance: float
 
 
 def kl_check(
     code: StabilizerCode,
     errors: Iterable[PauliOperator],
-    tol: float = 1e-10,
     max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
 ) -> KLReport:
     """Check the error-correction conditions for the given error set.
 
     Passes when every inner product <psi_i| Ea' Eb |psi_j> matches
-    C_ab * delta_ij within ``tol``, with C_ab taken as the diagonal (i = j)
-    average.  When the diagonal blocks are not constant the report simply
-    fails with the raw deviation.  ``max_amplitudes`` bounds the 2^n
-    entries of a state vector; it and the code are checked before
+    C_ab * delta_ij within ``_TOLERANCE`` (1e-10), with C_ab taken as the
+    diagonal (i = j) average.  When the diagonal blocks are not constant the
+    report simply fails with the raw deviation.  ``max_amplitudes`` bounds
+    the 2^n entries of a state vector; it and the code are checked before
     ``errors`` is read, so a refused check never iterates it.
 
     The errors' bits and signs are read once, into three arrays.  Every
@@ -198,14 +198,12 @@ def kl_check(
     one max (see the module docstring): work is O(m^2 2^n), memory
     O(chunk) plus O(2^n), and no 4^k Gram block is ever formed.  ``rank``
     counts the eigenvalues of C, from one symmetric eigenvalue solve, whose
-    magnitude exceeds ``np.linalg.matrix_rank``'s tolerance.  On a
+    magnitude exceeds ``np.linalg.matrix_rank``'s default threshold.  On a
     passing code ``max_deviation`` is rounding noise, and its digits below
     1e-15 depend on the order of summation.
     """
     import numpy as np
 
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     row, value, reps, span = _sparse_codewords(code, max_amplitudes)
     members = tuple(errors)
     if not members:
@@ -268,15 +266,14 @@ def kl_check(
     # 2^k diagonal cells or none of them, and in the second case C_ab = 0.
     diagonal = c_matrix[pa, pb]
     max_deviation = float(max((high - diagonal).max(), (diagonal - low).max(), off.max()))
-    # matrix_rank's tolerance, read off the eigenvalues: C is symmetric, so
-    # its singular values are their absolute values.
+    # matrix_rank's default threshold, read off the eigenvalues: C is
+    # symmetric, so its singular values are their absolute values.
     spectrum = np.abs(np.linalg.eigvalsh(c_matrix))
     rank = int(np.count_nonzero(spectrum > spectrum.max() * m * np.finfo(float).eps))
     return KLReport(
         c_matrix=c_matrix,
         max_deviation=max_deviation,
-        passed=max_deviation < tol,
+        passed=max_deviation < _TOLERANCE,
         rank=rank,
         full_rank=rank == m,
-        tolerance=tol,
     )

@@ -167,16 +167,6 @@ class PasteVerificationError(RuntimeError):
     that satisfy the preconditions, kept as a loud safety net."""
 
 
-def _check_t(t: int) -> None:
-    if t != 1:
-        raise ValueError(
-            "pasting is defined only for single-error codes (t=1): a "
-            f"t={t} request is refused because an error split across the "
-            "original and new qubits would be indistinguishable from one "
-            "on the original qubits alone"
-        )
-
-
 def _one_error_checks(
     code: StabilizerCode, name_valid: str, name_nondeg: str
 ) -> list[PasteCheck]:
@@ -209,11 +199,10 @@ def _prove_one_error(code: StabilizerCode, error: type, subject: str) -> Stabili
 
 
 def _plan(
-    larger: PasteInput, smaller: PasteInput, t: int
+    larger: PasteInput, smaller: PasteInput
 ) -> tuple[PaddedCode, PaddedCode, PasteDiagnostics, StabilizerCode | None]:
     """Both templates, every precondition, and the larger code's located
     all-X/all-Z basis (None when it was not found or not looked for)."""
-    _check_t(t)
     big = _as_padded(larger)
     small = _as_padded(smaller)
     checks = _one_error_checks(big.base, CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE)
@@ -273,12 +262,12 @@ def _plan(
     return big, small, PasteDiagnostics(tuple(checks)), located
 
 
-def can_paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> PasteDiagnostics:
+def can_paste(larger: PasteInput, smaller: PasteInput) -> PasteDiagnostics:
     """Run every pasting precondition without constructing the output."""
-    return _plan(larger, smaller, t)[2]
+    return _plan(larger, smaller)[2]
 
 
-def paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> StabilizerCode:
+def paste(larger: PasteInput, smaller: PasteInput) -> StabilizerCode:
     """Paste a smaller nondegenerate code onto a larger one.
 
     Output rows: the larger code's all-X and all-Z rows extended by
@@ -287,7 +276,7 @@ def paste(larger: PasteInput, smaller: PasteInput, *, t: int = 1) -> StabilizerC
     weight-1 syndromes checked before it is returned, so callers need not
     check it again.
     """
-    big, small, diagnostics, located = _plan(larger, smaller, t)
+    big, small, diagnostics, located = _plan(larger, smaller)
     if not diagnostics.ok:
         raise PasteError(diagnostics)
     # Placeholder rows are the identity, so this is big.rows when the basis is as given.

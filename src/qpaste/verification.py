@@ -34,8 +34,19 @@ def _operator(n: int, positions: tuple[int, ...], factors: tuple[int, ...]) -> P
     return PauliOperator(n, x, z, 1)
 
 
+def _check_range(n: int, w: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if not 0 <= w <= n:
+        raise ValueError(f"max weight {w} out of range for {n} qubits")
+
+
 def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
-    """All sign-+1 Pauli products of exact weight ``w``, in canonical order."""
+    """All sign-+1 Pauli products of exact weight ``w``, in canonical order.
+
+    Arguments out of range raise ``ValueError`` when iteration starts.
+    """
+    _check_range(n, w)
     if w == 0:
         yield identity(n)
         return
@@ -51,64 +62,16 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
             yield _operator(n, positions, factors)
 
 
-class ErrorSet:
-    """All weight <= ``max_weight`` errors on ``n`` qubits, identity first.
-
-    Immutable; iterating it yields the members, so it is not a named tuple.
-    """
-
-    __slots__ = ("n", "max_weight", "members")
-
-    def __init__(self, n: int, max_weight: int, members: tuple[PauliOperator, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "members", members)
-
-    def _frozen(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot change field {name!r} of an ErrorSet")
-
-    __setattr__ = __delattr__ = _frozen
-
-    def _key(self) -> tuple:
-        return self.n, self.max_weight, self.members
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ErrorSet(n={self.n!r}, max_weight={self.max_weight!r}, members={self.members!r})"
-
-    def __reduce__(self):
-        return ErrorSet, self._key()
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[PauliOperator]:
-        return iter(self.members)
-
-
 @functools.lru_cache(maxsize=_ERROR_SETS_KEPT, typed=True)
-def enumerate_errors(n: int, t: int) -> ErrorSet:
+def enumerate_errors(n: int, t: int) -> tuple[PauliOperator, ...]:
     """Deterministic enumeration of all errors of weight at most ``t``.
 
-    For t = 1 the count is 3n + 1.  Equal arguments return the same set
-    while it is among the last few built; an ``ErrorSet`` is immutable, so
-    sharing it is safe.
+    For t = 1 the count is 3n + 1.  Equal arguments return the same tuple
+    while it is among the last few built; a tuple of immutable operators
+    is safe to share.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if not 0 <= t <= n:
-        raise ValueError(f"max weight {t} out of range for {n} qubits")
-    members: list[PauliOperator] = []
-    for w in range(t + 1):
-        members.extend(iter_weight_errors(n, w))
-    return ErrorSet(n, t, tuple(members))
+    _check_range(n, t)
+    return tuple([e for w in range(t + 1) for e in iter_weight_errors(n, w)])
 
 
 class DistanceReport(NamedTuple):

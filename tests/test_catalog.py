@@ -230,7 +230,7 @@ def test_perfect_syndrome_bijection():
     for j in (1, 2):
         code = perfect(j)
         a = code.a
-        seen = {syndrome(code, e).as_int() for e in enumerate_errors(code.n, 1).members}
+        seen = {syndrome(code, e).as_int() for e in enumerate_errors(code.n, 1)}
         assert seen == set(range(1 << a))
 
 

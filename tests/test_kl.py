@@ -149,7 +149,7 @@ def test_generator_maps_built_a_chunk_at_a_time(monkeypatch):
 
 
 def test_kl_code5():
-    report = kl_check(builtin("code5"), enumerate_errors(5, 1), tol=1e-10)
+    report = kl_check(builtin("code5"), enumerate_errors(5, 1))
     assert report.passed and report.full_rank
     assert report.c_matrix.shape == (16, 16)
     assert np.allclose(report.c_matrix, np.eye(16), atol=1e-12)
@@ -157,7 +157,7 @@ def test_kl_code5():
 
 
 def test_kl_code8():
-    report = kl_check(builtin("code8"), enumerate_errors(8, 1), tol=1e-10)
+    report = kl_check(builtin("code8"), enumerate_errors(8, 1))
     assert report.passed and report.full_rank and report.rank == 25
     assert np.allclose(np.diag(report.c_matrix), 1.0, atol=1e-12)
 
@@ -175,16 +175,12 @@ def test_kl_hamming_class4_at_the_default_limit():
 
 
 def test_kl_identity_only():
-    report = kl_check(builtin("code5"), [identity(5)], tol=1e-10)
+    report = kl_check(builtin("code5"), [identity(5)])
     assert report.passed and report.c_matrix.shape == (1, 1)
     assert abs(report.c_matrix[0, 0] - 1.0) < 1e-12
 
 
 def test_kl_argument_checks():
-    with pytest.raises(ValueError, match="positive"):
-        kl_check(builtin("code5"), enumerate_errors(5, 1), tol=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        kl_check(builtin("code5"), [identity(5)], tol=float("nan"))
     with pytest.raises(ValueError, match="qubits"):
         kl_check(builtin("code5"), [identity(4)])
     with pytest.raises(ValueError, match="at least one"):

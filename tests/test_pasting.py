@@ -44,6 +44,7 @@ def test_augment_append():
     assert padded.row_count == 6 and padded.pad_count == 1
     assert padded.rows[5] == identity(8)
     assert padded.base == builtin("code8")
+    assert repr(padded) == "PaddedCode(n=8, rows=6, pad=1)"
 
 
 def test_augment_zero_and_prepend():
@@ -183,6 +184,8 @@ def test_can_paste_ok():
     diag = can_paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
     assert diag.ok and diag.failed_names() == ()
     assert all(check.ok for check in diag.checks)
+    with pytest.raises(KeyError):
+        diag.check("no_such_check")
 
 
 def test_can_paste_missing_xz_rows():
@@ -228,13 +231,6 @@ def test_can_paste_leading_placeholder():
     diag = can_paste(augment(builtin("code8"), 1, "prepend"), builtin("code5"))
     assert diag.failed_names() == (CHECK_XZ_ROWS,)
     assert "row 1 or 2" in diag.check(CHECK_XZ_ROWS).detail
-
-
-def test_multi_error_pasting_refused():
-    with pytest.raises(ValueError, match="single-error"):
-        can_paste(augment(builtin("code8"), 1, "append"), builtin("code5"), t=2)
-    with pytest.raises(ValueError, match="single-error"):
-        paste(augment(builtin("code8"), 1, "append"), builtin("code5"), t=3)
 
 
 def _split_expectations(output, larger_n, smaller_rows):

@@ -6,7 +6,6 @@ from qpaste import (
     CatalogEntry,
     CodeParameters,
     DistanceReport,
-    ErrorSet,
     KLReport,
     PasteCheck,
     PasteDiagnostics,
@@ -14,7 +13,6 @@ from qpaste import (
     ValidationReport,
     Violation,
     builtin,
-    identity,
     parse_pauli,
 )
 
@@ -28,7 +26,6 @@ def _kl_fields():
         "passed": True,
         "rank": 2,
         "full_rank": True,
-        "tolerance": 1e-10,
     }
 
 
@@ -46,7 +43,6 @@ _BAD_PAULI = [
 #  whether it hashes, field sets the constructor refuses with their ValueError text)
 RECORDS = [
     (PauliOperator, lambda: {"n": 2, "x": 1, "z": 2}, {"sign": 1}, True, _BAD_PAULI),
-    (ErrorSet, lambda: {"n": 1, "max_weight": 0, "members": (identity(1),)}, {}, True, []),
     (Violation, lambda: dict(_VIOLATION), {}, True, []),
     (
         ValidationReport,

@@ -254,6 +254,7 @@ def test_bit_exact_equality():
     c = from_strings("ZZ", "XX")
     assert a == b and hash(a) == hash(b)
     assert a != c
+    assert a.__eq__("XX") is NotImplemented and a != "XX"
 
 
 def test_group_equality():

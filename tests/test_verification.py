@@ -15,6 +15,7 @@ from qpaste.verification import (
     enumerate_errors,
     hamming_bound,
     is_perfect,
+    iter_weight_errors,
     perfect_length,
     verify_distance3,
 )
@@ -40,10 +41,10 @@ def test_error_counts():
 
 
 def test_error_order_frozen():
-    members = [format_pauli(e) for e in enumerate_errors(2, 1).members]
+    members = [format_pauli(e) for e in enumerate_errors(2, 1)]
     assert members == ["II", "XI", "YI", "ZI", "IX", "IY", "IZ"]
-    assert list(enumerate_errors(2, 1)) == list(enumerate_errors(2, 1).members)
-    weight2 = [format_pauli(e) for e in enumerate_errors(2, 2).members[7:10]]
+    assert type(enumerate_errors(2, 1)) is tuple
+    weight2 = [format_pauli(e) for e in enumerate_errors(2, 2)[7:10]]
     assert weight2 == ["XX", "XY", "XZ"]
 
 
@@ -52,9 +53,9 @@ def test_error_sets_are_shared_and_bounded():
     # number of sets however many lengths are asked for.
     errors = enumerate_errors(5, 1)
     assert enumerate_errors(5, 1) is errors
-    before = [(e.n, e.x, e.z, e.sign) for e in errors.members]
+    before = [(e.n, e.x, e.z, e.sign) for e in errors]
     kl_check(builtin("code5"), errors)
-    assert [(e.n, e.x, e.z, e.sign) for e in errors.members] == before
+    assert [(e.n, e.x, e.z, e.sign) for e in errors] == before
     assert enumerate_errors(5, 1) is errors
     for n in range(1, 3 * verification._ERROR_SETS_KEPT):
         enumerate_errors(n, 1)
@@ -70,6 +71,15 @@ def test_error_range_checks():
         enumerate_errors(3, -1)
     with pytest.raises(ValueError, match="need at least one qubit"):
         enumerate_errors(0, 0)
+    for n, w, message in [
+        (0, 1, "need at least one qubit"),
+        (-2, 1, "need at least one qubit"),
+        (3, 4, "max weight 4 out of range for 3 qubits"),
+        (3, -1, "max weight -1 out of range for 3 qubits"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            next(iter_weight_errors(n, w))
+        assert str(excinfo.value) == message
 
 
 def test_verify_code13():
@@ -83,7 +93,7 @@ def test_verify_code5_perfect():
     code = builtin("code5")
     report = verify_distance3(code)
     assert report.ok and report.distinct_count == 16
-    seen = {syndrome(code, e).as_int() for e in enumerate_errors(5, 1).members}
+    seen = {syndrome(code, e).as_int() for e in enumerate_errors(5, 1)}
     assert seen == set(range(16))
 
 
@@ -172,7 +182,7 @@ def test_cross_check_distance3_formulations():
         no_low_logical = distance(code, 2) is None
         nonzero = all(
             not syndrome(code, e).is_zero
-            for e in enumerate_errors(code.n, 1).members[1:]
+            for e in enumerate_errors(code.n, 1)[1:]
         )
         assert report.ok == (no_low_logical and nonzero)
     bad = from_strings("ZZ")
