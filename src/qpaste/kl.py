@@ -19,20 +19,22 @@ cells.  Whether that cell is on the diagonal depends on the pair alone:
 x_a and x_b map every coset onto the same coset when x_a ^ x_b lies in the
 X-span, and none otherwise.  ``kl_check`` reads the errors' x bits, z
 bits and signs into three arrays once per call, then streams the cosets in
-chunks.  Per chunk it takes every error's source index and sign at every
-coset minimum from one XOR and one popcount, builds the values of all m
-errors' E_a W, drops the cosets where all of them vanish, and gets the
-m x m restricted inner products of a batch of cosets from one batched
-``np.matmul``.  It reads each batch with one sum, which is the diagonal
-sum of the same-image pairs as their other cells hold exactly 0; the
-diagonal extremes of those pairs alone, gathered out of the batch; and one
-in-place |.| max for the largest entry off the diagonal, kept for the
-other pairs.  That is O(m^2 2^n) work in
-BLAS plus O(m^2 T) elementwise over the T cosets, with no 4^k term.
-The rank of the symmetric m x m matrix C comes from one eigenvalue solve.
-Memory is O(chunk) for amplitudes and products plus O(2^n) for the
-codewords' row and value arrays, which cost O((n - k) 2^n) to build, as
-many generators at a time as fit one chunk.
+batches of one size: as many cosets as keep both their amplitudes, m |span|
+entries each, and their Gram products, m^2 each, within one chunk (one
+coset, when it alone needs more).  Per batch it takes every error's source
+index and sign at every coset minimum from one XOR and one popcount,
+builds the values of all m errors' E_a W, drops the cosets where all of
+them vanish, and gets the m x m restricted inner products of the rest from
+one batched ``np.matmul``.  It reads each batch with one sum, which is the
+diagonal sum of the same-image pairs as their other cells hold exactly 0;
+the diagonal extremes of those pairs alone, gathered out of the batch; and
+one in-place |.| max for the largest entry off the diagonal, kept for the
+other pairs.  That is O(m^2 2^n) work in BLAS plus O(m^2 T) elementwise
+over the T cosets, with no 4^k term.  The rank of the symmetric m x m
+matrix C comes from one eigenvalue solve.  Memory is O(chunk) for one
+batch's amplitudes and products plus O(2^n) for the codewords' row and
+value arrays, which cost O((n - k) 2^n) to build, as many generators at a
+time as fit one chunk.
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; by default it refuses state vectors of more
@@ -147,7 +149,7 @@ def _sparse_codewords(
         part = slice(g, g + per)
         src, coeff = _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
         for s, c in zip(src, coeff):
-            v = 0.5 * (v + c * v[s])
+            v += c * v[s]  # 2^a times the projection: integers, normalized exactly
     norm = np.sqrt(np.bincount(label, weights=v * v, minlength=dim))
     kept = norm[reps] > _DISCARD_NORM
     found = np.count_nonzero(kept)
@@ -193,14 +195,14 @@ def kl_check(
     ``errors`` is read, so a refused check never iterates it.
 
     The errors' bits and signs are read once, into three arrays.  Every
-    inner product is summed from amplitudes, coset by coset, in one
-    batched matmul per chunk of cosets, read with one sum, one gather and
-    one max (see the module docstring): work is O(m^2 2^n), memory
-    O(chunk) plus O(2^n), and no 4^k Gram block is ever formed.  ``rank``
-    counts the eigenvalues of C, from one symmetric eigenvalue solve, whose
-    magnitude exceeds ``np.linalg.matrix_rank``'s default threshold.  On a
-    passing code ``max_deviation`` is rounding noise, and its digits below
-    1e-15 depend on the order of summation.
+    inner product is summed from amplitudes in one batched matmul per batch
+    of cosets, whose amplitudes and products fit one chunk, read with one
+    sum, one gather and one max (see the module docstring): work is
+    O(m^2 2^n), memory O(chunk) plus O(2^n), and no 4^k Gram block is ever
+    formed.  ``rank`` counts the eigenvalues of C, from one symmetric
+    eigenvalue solve, whose magnitude exceeds ``np.linalg.matrix_rank``'s
+    default threshold.  On a passing code ``max_deviation`` is rounding
+    noise, and its digits below 1e-15 depend on the order of summation.
     """
     import numpy as np
 
@@ -212,7 +214,6 @@ def kl_check(
         if e.n != code.n:
             raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
     dim_k = 1 << (code.n - code.a)
-    dim = len(row)
     m = len(members)
     # Coset t of the X-span is reps[t] ^ span.  E_a W is nonzero on coset t
     # only in row images[t, a], the row of the coset that x_a maps t onto.
@@ -225,40 +226,37 @@ def kl_check(
     # E_a's sign at reps[t] ^ span[j] is its sign at reps[t] times
     # (-1)^popcount(span[j] & z_a).
     span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs[:, None]) & 1)
-    # Amplitudes are built for at most _CHUNK entries' worth of cosets at a
-    # time, and Gram products taken over at most min(m 2^n, _CHUNK) entries'
-    # worth (one coset's, when it alone needs more).
-    build = max(1, _CHUNK // (m * len(span)))
-    step = max(1, min(dim, _CHUNK // m) // m)
+    # Per batch of cosets, amplitudes (m |span| per coset) and Gram products
+    # (m^2 per coset) stay within _CHUNK entries, or the batch is one coset.
+    batch = max(1, _CHUNK // (m * max(len(span), m)))
     total = np.zeros((m, m))
     high = np.full(len(pa), -np.inf)
     low = np.full(len(pa), np.inf)
     off = np.zeros((m, m))
-    for b0 in range(0, len(reps), build):
+    for b0 in range(0, len(reps), batch):
         # heads[t, a] = reps[t] ^ x_a, the index E_a pulls coset t's minimum from.
-        heads, head_signs = _signed_permutations(xs, zs, signs, reps[b0 : b0 + build, None])
+        heads, head_signs = _signed_permutations(xs, zs, signs, reps[b0 : b0 + batch, None])
         images = row[heads]
         live = (images < dim_k).any(axis=1)
+        if not live.any():
+            continue
         heads, head_signs, images = heads[live], head_signs[live], images[live]
         amps = np.take(value, heads[:, :, None] ^ span)  # amps[t, a]: E_a W's values on coset t
         amps *= head_signs[:, :, None]
         amps *= span_signs
-        kept = images[:, pa] < dim_k
-        for t0 in range(0, len(images), step):
-            block = amps[t0 : t0 + step]
-            gram = np.matmul(block, block.transpose(0, 2, 1))
-            # Coset t alone fills cell (images[t, a], images[t, b]) of G_ab
-            # with gram[t, a, b].  A same-image pair's cells are diagonal
-            # where its image is kept and exactly 0 where it is a discarded
-            # coset's (row 2^k or more, value 0); any other pair's cells are
-            # all off the diagonal.  So the plain sum is the diagonal sum,
-            # and |gram| is read only for the other pairs, at the end.  NaN
-            # marks the discarded cells, which fmax and fmin pass over.
-            total += gram.sum(axis=0)
-            diagonal = np.where(kept[t0 : t0 + step], gram[:, pa, pb], np.nan)
-            np.fmax(high, np.fmax.reduce(diagonal, axis=0), out=high)
-            np.fmin(low, np.fmin.reduce(diagonal, axis=0), out=low)
-            np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
+        gram = np.matmul(amps, amps.transpose(0, 2, 1))
+        # Coset t alone fills cell (images[t, a], images[t, b]) of G_ab with
+        # gram[t, a, b].  A same-image pair's cells are diagonal where its
+        # image is kept and exactly 0 where it is a discarded coset's (row
+        # 2^k or more, value 0); any other pair's cells are all off the
+        # diagonal.  So the plain sum is the diagonal sum, and |gram| is read
+        # only for the other pairs, at the end.  NaN marks the discarded
+        # cells, which fmax and fmin pass over.
+        total += gram.sum(axis=0)
+        diagonal = np.where(images[:, pa] < dim_k, gram[:, pa, pb], np.nan)
+        np.fmax(high, np.fmax.reduce(diagonal, axis=0), out=high)
+        np.fmin(low, np.fmin.reduce(diagonal, axis=0), out=low)
+        np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
     c_matrix = np.where(same, total, 0.0) / dim_k
     off[same] = 0.0
     # A diagonal cell that no coset reaches holds 0, |C_ab| away from C_ab.

@@ -96,8 +96,8 @@ def test_limit_that_admits_nothing_refuses_first(monkeypatch, limit):
 
 
 def test_amplitudes_stream_in_chunks(monkeypatch):
-    # Each chunk of cosets builds at most _CHUNK amplitudes; the weight-<=1
-    # amplitudes of an n <= 10 code are built in one piece.
+    # Each batch of cosets builds at most _CHUNK amplitudes and Gram products;
+    # code8's weight-<=1 check is one batch with one product.
     builds, products = [], []
     permutations, matmul = kl._signed_permutations, np.matmul
 
@@ -123,8 +123,10 @@ def test_amplitudes_stream_in_chunks(monkeypatch):
     assert sum(builds) * span == 49 << 16
     assert max(products) <= kl._CHUNK
     builds.clear()
+    products.clear()
     kl_check(builtin("code8"), enumerate_errors(8, 1))
     assert len(builds) == 1
+    assert len(products) == 1
 
 
 def test_generator_maps_built_a_chunk_at_a_time(monkeypatch):

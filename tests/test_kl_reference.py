@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qpaste import gf2
+from qpaste import gf2, kl
 from qpaste.catalog import builtin
 from qpaste.kl import _sparse_codewords, kl_check
 from qpaste.pauli import PauliOperator, commutes, format_pauli, identity, parse_pauli, tensor
@@ -182,41 +182,31 @@ def test_kl_check_matches_reference_on_weight2_errors(name, code):
     assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
 
 
-def test_gram_products_stay_within_m_times_2n(monkeypatch):
-    sizes = []
-    matmul = np.matmul
+ONE_COSET_CASES = [
+    *((f"weight2-{name}", code, 2) for name, code in WEIGHT2_CODES),
+    *((f"discarding-{name}", code, weight) for name, code, weight in DISCARDING_CODES),
+]
 
-    def recording_matmul(*args, **kwargs):
-        out = matmul(*args, **kwargs)
-        sizes.append(out.size)
-        return out
 
-    monkeypatch.setattr(np, "matmul", recording_matmul)
-    rng = random.Random(6603)
-    # (code, error weight, fewest products): every error set has m <= 2^n.
-    cases = [
-        # 2^8 single-index cosets, at most 2^8 / 25 of them per product.
-        (_low_x_rank_code(rng, 8, 3, 0), 1, 10),
-        (_low_x_rank_code(rng, 8, 4, 1), 1, 1),
-        (random_valid_code(rng, 9, 4), 2, 1),
-        (builtin("code5"), 1, 1),
-    ]
-    for code, weight, fewest in cases:
-        errors = enumerate_errors(code.n, weight)
-        sizes.clear()
-        kl_check(code, errors)
-        assert len(sizes) >= fewest
-        assert max(sizes) <= len(errors) << code.n
+@pytest.mark.parametrize(
+    "name, code, weight", ONE_COSET_CASES, ids=[name for name, _, _ in ONE_COSET_CASES]
+)
+def test_one_coset_batches_match_reference(monkeypatch, name, code, weight):
+    # With one coset per batch, each coset that no error maps onto a kept
+    # coset is a batch with no live coset, which must add nothing.
+    monkeypatch.setattr(kl, "_CHUNK", 1)
+    errors = enumerate_errors(code.n, weight)
+    assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.25, 4.0])
 @pytest.mark.parametrize("errors", ["weight1+z", "identities"])
 def test_every_product_reaches_the_report(monkeypatch, errors, weight):
     # No generators on 3 qubits: eight single-index cosets, in index order,
-    # and more errors than indices, so each coset is a product of its own.
-    # Scaling product p by `weight` weights index p in every Gram block,
-    # which the dense sums below do directly.  With ten identities every
-    # cell is diagonal, so nothing off the diagonal hides a lost extreme.
+    # all in one product.  Scaling coset p's slice of that product by
+    # `weight` weights index p in every Gram block, which the dense sums
+    # below do directly.  With ten identities every cell is diagonal, so
+    # nothing off the diagonal hides a lost extreme.
     code = StabilizerCode([], n=3)
     if errors == "identities":
         errors = [identity(3)] * 10
@@ -230,13 +220,14 @@ def test_every_product_reaches_the_report(monkeypatch, errors, weight):
 
         def weighted_matmul(*args, **kwargs):
             out = matmul(*args, **kwargs)
-            calls.append(None)
-            return out * weight if len(calls) - 1 == p else out
+            calls.append(out.shape)
+            out[p] *= weight
+            return out
 
         monkeypatch.setattr(np, "matmul", weighted_matmul)
         report = kl_check(code, errors)
         monkeypatch.undo()
-        assert len(calls) == 8
+        assert calls == [(8, len(errors), len(errors))]
         weights = np.ones(8)
         weights[p] = weight
         grams = [[ea.T @ np.diag(weights) @ eb for eb in images] for ea in images]
