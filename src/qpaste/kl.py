@@ -6,35 +6,34 @@ directly.  Everything is real arithmetic: with the real Y convention each
 Pauli product acts on a state vector as a signed permutation of basis
 indices, never as a dense matrix.
 
-Each codeword is the projection of one basis state, so it lives on that
-state's coset of the generators' X-span and no two codewords share a basis
-index: the 2^k x 2^n basis W has at most one nonzero entry per column.
-W is built and read as a (row, value) pair per index; the dense matrix is
-never formed.
+Each codeword is the projection of one basis state, so it is supported on
+that state's coset of the generators' X-span, and no two codewords share a
+basis index.  The projection is exact: 2^a P|r> is +-2^a/|span| on a kept
+coset and 0 on a discarded one.  So the codewords are held as their signs,
+one per basis index, and each coset is named by its smallest index.
 
-As c -> c ^ x_a maps cosets onto cosets, E_a W too is nonzero in one row
-per coset, so each coset adds its restricted inner product of E_a W and
-E_b W to one cell of the Gram block G_ab, and distinct cosets to distinct
-cells.  Whether that cell is on the diagonal depends on the pair alone:
-x_a and x_b map every coset onto the same coset when x_a ^ x_b lies in the
-X-span, and none otherwise.  ``kl_check`` reads the errors' x bits, z
-bits and signs into three arrays once per call, then streams the cosets in
-batches of one size: as many cosets as keep both their amplitudes, m |span|
-entries each, and their Gram products, m^2 each, within one chunk (one
-coset, when it alone needs more).  Per batch it takes every error's source
-index and sign at every coset minimum from one XOR and one popcount,
-builds the values of all m errors' E_a W, drops the cosets where all of
-them vanish, and gets the m x m restricted inner products of the rest from
-one batched ``np.matmul``.  It reads each batch with one sum, which is the
-diagonal sum of the same-image pairs as their other cells hold exactly 0;
-the diagonal extremes of those pairs alone, gathered out of the batch; and
-one in-place |.| max for the largest entry off the diagonal, kept for the
-other pairs.  That is O(m^2 2^n) work in BLAS plus O(m^2 T) elementwise
-over the T cosets, with no 4^k term.  The rank of the symmetric m x m
-matrix C comes from one eigenvalue solve.  Memory is O(chunk) for one
-batch's amplitudes and products plus O(2^n) for the codewords' row and
-value arrays, which cost O((n - k) 2^n) to build, as many generators at a
-time as fit one chunk.
+As c -> c ^ x_a maps cosets onto cosets, each coset that E_a maps onto a
+kept coset fills one cell of the Gram block G_ab, and distinct cosets
+distinct cells; the cell is on the diagonal for every coset or for none,
+as x_a ^ x_b lies in the X-span or not.  ``kl_check`` streams the cosets
+that some error maps onto a kept coset in batches of one size, as many as
+keep their amplitudes (m |span| each) and Gram products (m^2 each) within
+one chunk.  Per batch, one XOR and one popcount give every error's source
+index and sign, one gather the signs of all m errors' E_a W, and one
+batched ``np.matmul`` the m x m restricted inner products, read with one
+sum (the diagonal sum of the same-image pairs, whose other cells hold
+exactly 0), one gather of those pairs' extremes on kept images and one
+|.| max off the diagonal.
+
+Every amplitude is 0 or +-1, so every product and sum is an integer, exact
+in float64 in any order of summation, and C and the deviations follow by
+power-of-two divisions: a code passes when its deviation is exactly 0; any
+other deviation is at least 2^-n.  Work is O(m^2 2^n) in BLAS, with no 4^k
+term, plus O((n - k) 2^n) to build the codewords, as many generators at a
+time as fit one chunk.  Memory is O(chunk + 2^n + m 2^k), the last term to
+find the cosets the errors reach; the Hamming bound keeps m 2^k <= 2^n for
+a one-error code's weight-<=1 errors.  The rank of the symmetric m x m
+matrix C comes from one eigenvalue solve.
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; by default it refuses state vectors of more
@@ -59,9 +58,6 @@ DEFAULT_MAX_AMPLITUDES = 1 << 16
 # Entries per chunk of amplitudes or Gram products.  Every n <= 10 code
 # builds its weight-<=1 amplitudes, at most 31 * 2^10 entries, in one chunk.
 _CHUNK = 1 << 16
-_DISCARD_NORM = 1e-8
-# A check passes when every inner product is this close to C_ab * delta_ij.
-_TOLERANCE = 1e-10
 
 
 class CapExceededError(ValueError):
@@ -100,24 +96,26 @@ def _signed_permutations(
 def _sparse_codewords(
     code: StabilizerCode, max_amplitudes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The codeword basis as (row, value) per index, the coset minima and the X-span.
+    """The codewords' signs, each index's coset, the kept cosets and the X-span.
 
-    basis[row[c], c] == value[c] whenever row[c] < 2^k.  The projector
-    prod_i (I + M_i)/2 maps |b> into the span of b's coset of the
-    generators' X-span, and every other member of that coset projects to
-    +/- the same vector.  So only each coset's smallest index is projected
-    (all of them at once, in one vector, as their supports are disjoint),
-    projections with norm below 1e-8 are discarded, and the rest,
-    normalized, are the codewords in order of that index.  Disjoint supports
-    make them orthogonal without Gram-Schmidt and leave at most one nonzero
-    per index.  Each discarded coset gets a row of its own from 2^k up, in
-    the same order, and value 0, so ``row`` numbers the cosets one to one.
-    The generators' index maps and signs are built as many at a time as fit
-    one chunk, so each of those arrays holds at most max(2^16, 2^n) entries.
-    The third array lists each coset's smallest index in increasing order;
-    the fourth is the X-span itself, the coset of 0, in increasing order.
-    Before any array is built, refuses a state vector of 2^n amplitudes that
-    is not within ``max_amplitudes``.
+    The projector prod_i (I + M_i)/2 maps |b> into the span of b's coset of
+    the generators' X-span, and every other member of that coset projects
+    to +/- the same vector.  So only each coset's smallest index is
+    projected, all at once in one vector v = 2^a P (sum of those |b>), as
+    their supports are disjoint.  v holds integers: +-2^a/|span| on every
+    member of a kept coset and 0 on a discarded one.  A count of kept
+    cosets other than 2^k, or any other nonzero magnitude, raises
+    RuntimeError.  Codeword i is ``value / sqrt(|span|)`` on the i-th kept
+    coset and 0 elsewhere; disjoint supports make the codewords orthonormal
+    without Gram-Schmidt.
+
+    Returns ``label``, each index's smallest coset member; ``value``,
+    sign(v); ``kept``, the kept cosets' smallest indices in increasing
+    order, which is the codeword order; and the X-span itself, the coset of
+    0, in increasing order.  The generators' index maps and signs are built
+    as many at a time as fit one chunk, so each of those arrays holds at
+    most max(2^16, 2^n) entries.  Before any array is built, refuses a state
+    vector of 2^n amplitudes that is not within ``max_amplitudes``.
     """
     import numpy as np
 
@@ -130,7 +128,6 @@ def _sparse_codewords(
         )
     _require_valid(code)
     k = code.n - code.a
-    target = 1 << k
     index = np.arange(dim)
     xs, zs, signs = _columns(code.generators)
     # Index maps and coefficients for as many generators at a time as fit
@@ -143,26 +140,27 @@ def _sparse_codewords(
         for s in index ^ xs[g : g + per, None]:
             label = np.minimum(label, label[s])
     reps = np.flatnonzero(label == index)
+    span = np.flatnonzero(label == 0)
     v = np.zeros(dim)
     v[reps] = 1.0
     for g in range(0, len(xs), per):
         part = slice(g, g + per)
         src, coeff = _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
         for s, c in zip(src, coeff):
-            v += c * v[s]  # 2^a times the projection: integers, normalized exactly
-    norm = np.sqrt(np.bincount(label, weights=v * v, minlength=dim))
-    kept = norm[reps] > _DISCARD_NORM
-    found = np.count_nonzero(kept)
-    if found != target:
+            v += c * v[s]
+    kept = reps[v[reps] != 0]
+    if len(kept) != 1 << k:
         raise RuntimeError(
-            f"projector produced {found} directions, expected 2^{k}; "
+            f"projector produced {len(kept)} directions, expected 2^{k}; "
             "the generator set is inconsistent"
         )
-    position = np.zeros(dim, dtype=np.intp)
-    position[np.concatenate((reps[kept], reps[~kept]))] = np.arange(len(reps))
-    norm = norm[label]
-    value = np.divide(v, norm, out=np.zeros(dim), where=norm > _DISCARD_NORM)
-    return position[label], value, reps, np.flatnonzero(label == 0)
+    value = np.sign(v)
+    if not np.array_equal(v, value * ((1 << code.a) // len(span))):
+        raise RuntimeError(
+            "projector produced an amplitude of magnitude other than 0 and "
+            f"2^{code.a}/{len(span)}; the generator set is inconsistent"
+        )
+    return label, value, kept, span
 
 
 class KLReport(NamedTuple):
@@ -187,44 +185,44 @@ def kl_check(
 ) -> KLReport:
     """Check the error-correction conditions for the given error set.
 
-    Passes when every inner product <psi_i| Ea' Eb |psi_j> matches
-    C_ab * delta_ij within ``_TOLERANCE`` (1e-10), with C_ab taken as the
-    diagonal (i = j) average.  When the diagonal blocks are not constant the
-    report simply fails with the raw deviation.  ``max_amplitudes`` bounds
-    the 2^n entries of a state vector; it and the code are checked before
-    ``errors`` is read, so a refused check never iterates it.
+    Passes when every inner product <psi_i| Ea' Eb |psi_j> equals
+    C_ab * delta_ij exactly, with C_ab taken as the diagonal (i = j)
+    average; otherwise the report fails with the largest deviation.  The
+    sums are exact (see the module docstring), so ``max_deviation`` is 0.0
+    on a passing code.  ``max_amplitudes`` bounds the 2^n entries of a
+    state vector; it and the code are checked before ``errors`` is read, so
+    a refused check never iterates it.
 
-    The errors' bits and signs are read once, into three arrays.  Every
-    inner product is summed from amplitudes in one batched matmul per batch
-    of cosets, whose amplitudes and products fit one chunk, read with one
-    sum, one gather and one max (see the module docstring): work is
-    O(m^2 2^n), memory O(chunk) plus O(2^n), and no 4^k Gram block is ever
-    formed.  ``rank`` counts the eigenvalues of C, from one symmetric
+    The errors' bits and signs are read once, into three arrays.  Work is
+    O(m^2 2^n) and memory O(chunk + 2^n + m 2^k); no 4^k Gram block is
+    ever formed.  ``rank`` counts the eigenvalues of C, from one symmetric
     eigenvalue solve, whose magnitude exceeds ``np.linalg.matrix_rank``'s
-    default threshold.  On a passing code ``max_deviation`` is rounding
-    noise, and its digits below 1e-15 depend on the order of summation.
+    default threshold.
     """
     import numpy as np
 
-    row, value, reps, span = _sparse_codewords(code, max_amplitudes)
+    label, value, kept, span = _sparse_codewords(code, max_amplitudes)
     members = tuple(errors)
     if not members:
         raise ValueError("need at least one error operator")
     for e in members:
         if e.n != code.n:
             raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    dim_k = 1 << (code.n - code.a)
+    dim_k = len(kept)
     m = len(members)
-    # Coset t of the X-span is reps[t] ^ span.  E_a W is nonzero on coset t
-    # only in row images[t, a], the row of the coset that x_a maps t onto.
-    # That row equals images[t, b] for every t or for none, as the pair
-    # property x_a ^ x_b in span decides; lead[a] is the row of x_a itself.
+    # E_a maps the coset named t onto the coset of t ^ x_a.  That coset is
+    # the one x_b maps t onto for every t or for none, as the pair property
+    # x_a ^ x_b in span decides; lead[a] names the coset of x_a itself.
     xs, zs, signs = _columns(members)
-    lead = row[xs]
+    lead = label[xs]
     same = lead[:, None] == lead[None, :]
     pa, pb = np.nonzero(same)
-    # E_a's sign at reps[t] ^ span[j] is its sign at reps[t] times
-    # (-1)^popcount(span[j] & z_a).
+    # The cosets some error maps onto a kept coset: E_a W vanishes on the
+    # rest.  A mask sorts them without np.unique, which imports numpy.ma.
+    reached = np.zeros(len(label), dtype=bool)
+    reached[label[kept[:, None] ^ xs]] = True
+    sources = np.flatnonzero(reached)
+    # E_a's sign at t ^ span[j] is its sign at t times (-1)^popcount(span[j] & z_a).
     span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs[:, None]) & 1)
     # Per batch of cosets, amplitudes (m |span| per coset) and Gram products
     # (m^2 per coset) stay within _CHUNK entries, or the batch is one coset.
@@ -233,37 +231,34 @@ def kl_check(
     high = np.full(len(pa), -np.inf)
     low = np.full(len(pa), np.inf)
     off = np.zeros((m, m))
-    for b0 in range(0, len(reps), batch):
-        # heads[t, a] = reps[t] ^ x_a, the index E_a pulls coset t's minimum from.
-        heads, head_signs = _signed_permutations(xs, zs, signs, reps[b0 : b0 + batch, None])
-        images = row[heads]
-        live = (images < dim_k).any(axis=1)
-        if not live.any():
-            continue
-        heads, head_signs, images = heads[live], head_signs[live], images[live]
-        amps = np.take(value, heads[:, :, None] ^ span)  # amps[t, a]: E_a W's values on coset t
+    for b0 in range(0, len(sources), batch):
+        # heads[t, a] = t ^ x_a, the index E_a pulls coset t's minimum from.
+        heads, head_signs = _signed_permutations(xs, zs, signs, sources[b0 : b0 + batch, None])
+        amps = np.take(value, heads[:, :, None] ^ span)  # amps[t, a]: E_a W's signs on coset t
         amps *= head_signs[:, :, None]
         amps *= span_signs
         gram = np.matmul(amps, amps.transpose(0, 2, 1))
-        # Coset t alone fills cell (images[t, a], images[t, b]) of G_ab with
-        # gram[t, a, b].  A same-image pair's cells are diagonal where its
-        # image is kept and exactly 0 where it is a discarded coset's (row
-        # 2^k or more, value 0); any other pair's cells are all off the
-        # diagonal.  So the plain sum is the diagonal sum, and |gram| is read
-        # only for the other pairs, at the end.  NaN marks the discarded
-        # cells, which fmax and fmin pass over.
+        # Coset t alone fills one cell of G_ab with gram[t, a, b] / |span|.
+        # A same-image pair's cell is diagonal where its image is kept and
+        # exactly 0 where it is discarded; any other pair's cells are all
+        # off the diagonal.  So the plain sum is the diagonal sum, and |gram|
+        # is read only for the other pairs, at the end.  NaN marks the
+        # discarded images, which fmax and fmin pass over.
         total += gram.sum(axis=0)
-        diagonal = np.where(images[:, pa] < dim_k, gram[:, pa, pb], np.nan)
+        diagonal = np.where((value[heads] != 0)[:, pa], gram[:, pa, pb], np.nan)
         np.fmax(high, np.fmax.reduce(diagonal, axis=0), out=high)
         np.fmin(low, np.fmin.reduce(diagonal, axis=0), out=low)
         np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
-    c_matrix = np.where(same, total, 0.0) / dim_k
+    # total, high, low and off hold integers |span| times the inner
+    # products, so the divisions by 2^k and |span| below are exact.
+    c_matrix = np.where(same, total, 0.0) / (dim_k * len(span))
     off[same] = 0.0
     # A diagonal cell that no coset reaches holds 0, |C_ab| away from C_ab.
     # No term is needed for it: a pair of Pauli errors reaches either all
     # 2^k diagonal cells or none of them, and in the second case C_ab = 0.
-    diagonal = c_matrix[pa, pb]
-    max_deviation = float(max((high - diagonal).max(), (diagonal - low).max(), off.max()))
+    diagonal = total[pa, pb] / dim_k
+    spread = max((high - diagonal).max(), (diagonal - low).max(), off.max())
+    max_deviation = float(spread) / len(span)
     # matrix_rank's default threshold, read off the eigenvalues: C is
     # symmetric, so its singular values are their absolute values.
     spectrum = np.abs(np.linalg.eigvalsh(c_matrix))
@@ -271,7 +266,7 @@ def kl_check(
     return KLReport(
         c_matrix=c_matrix,
         max_deviation=max_deviation,
-        passed=max_deviation < _TOLERANCE,
+        passed=max_deviation == 0.0,
         rank=rank,
         full_rank=rank == m,
     )

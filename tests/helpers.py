@@ -440,11 +440,12 @@ def _reference_signed_permutation(p: PauliOperator, dim: int) -> tuple[np.ndarra
 def scattered_codewords(
     code: StabilizerCode, max_amplitudes: int = DEFAULT_MAX_AMPLITUDES
 ) -> np.ndarray:
-    """The 2^k x 2^n codeword basis that ``kl_check`` reads in sparse form, made dense."""
-    row, value, _, _ = _sparse_codewords(code, max_amplitudes)
-    basis = np.zeros((1 << (code.n - code.a), len(row)))
-    on = np.flatnonzero(row < len(basis))
-    basis[row[on], on] = value[on]
+    """The 2^k x 2^n codeword basis that ``kl_check`` reads as signs, made dense:
+    codeword i is the signs on the i-th kept coset over sqrt(|span|)."""
+    label, value, kept, span = _sparse_codewords(code, max_amplitudes)
+    basis = np.zeros((len(kept), len(label)))
+    on = np.flatnonzero(value)
+    basis[np.searchsorted(kept, label[on]), on] = value[on] / np.sqrt(len(span))
     return basis
 
 

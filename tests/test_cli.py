@@ -348,22 +348,24 @@ def test_verify_kl_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, kind, line",
     [
-        (dumps(shor_code9()), "kl: pass (C rank 22/28, max deviation "),
-        (dumps(degenerate_code6()), "kl: pass (C rank 18/19, max deviation "),
-        ("XX\nZZ\n", "kl: pass (C rank 4/7, max deviation "),
+        (dumps(shor_code9()), ", degenerate, ", "22/28, max deviation 0.00e+00)"),
+        (dumps(degenerate_code6()), ", degenerate, ", "18/19, max deviation 0.00e+00)"),
+        ("XX\nZZ\n", ", degenerate, ", "4/7, max deviation 0.00e+00)"),
+        (dumps(builtin("code13")), ", nondegenerate)", "40/40, max deviation 0.00e+00)"),
     ],
-    ids=["shor9", "degenerate6", "xx_zz"],
+    ids=["shor9", "degenerate6", "xx_zz", "code13"],
 )
-def test_verify_kl_passes_degenerate_codes(text, line, tmp_path, capsys):
-    # The KL line agrees with the distance3 line, which excuses these collisions.
+def test_verify_kl_passes_degenerate_codes(text, kind, line, tmp_path, capsys):
+    # The KL line agrees with the distance3 line, which excuses the
+    # degenerate codes' collisions; a passing code deviates by exactly 0.
     path = tmp_path / "code.stab"
     path.write_text(text)
     assert main(["verify", str(path), "--kl"]) == 0
     out = capsys.readouterr().out
-    assert ", degenerate, " in out
-    assert f"\n{line}" in out
+    assert kind in out
+    assert f"\nkl: pass (C rank {line}\n" in out
     assert out.endswith("result: pass\n")
 
 

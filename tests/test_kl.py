@@ -15,8 +15,16 @@ from helpers import (
     dense,
     random_valid_code,
     scattered_codewords,
+    shor_code9,
     shuffled_qubits,
 )
+
+
+def assert_exact(report):
+    # Every amplitude kl_check multiplies is 0 or +-1, so a passing code
+    # deviates by exactly 0 and C holds only -1, 0 and 1.
+    assert report.passed and report.max_deviation == 0.0
+    assert set(np.unique(report.c_matrix)) <= {-1.0, 0.0, 1.0}
 
 
 def test_apply_pauli_matches_dense():
@@ -62,6 +70,23 @@ def test_codewords_code8():
         assert np.allclose(c * basis[:, s], basis, atol=1e-12)
 
 
+def test_codeword_magnitudes_are_checked(monkeypatch):
+    # Doubling one generator's coefficients in the codeword build keeps both
+    # of code5's cosets but mixes magnitudes 3 and 1 in the projection; the
+    # build refuses it instead of normalizing it away.
+    permutations = kl._signed_permutations
+
+    def doubled_first_generator(xs, zs, signs, index):
+        src, coeff = permutations(xs, zs, signs, index)
+        if index.ndim == 1:
+            coeff[0] *= 2
+        return src, coeff
+
+    monkeypatch.setattr(kl, "_signed_permutations", doubled_first_generator)
+    with pytest.raises(RuntimeError, match=r"^projector produced an amplitude of magnitude "):
+        kl_check(builtin("code5"), enumerate_errors(5, 1))
+
+
 def test_codewords_empty_generator_code():
     basis = scattered_codewords(StabilizerCode([], n=1))
     assert basis.shape == (2, 2)
@@ -97,7 +122,9 @@ def test_limit_that_admits_nothing_refuses_first(monkeypatch, limit):
 
 def test_amplitudes_stream_in_chunks(monkeypatch):
     # Each batch of cosets builds at most _CHUNK amplitudes and Gram products;
-    # code8's weight-<=1 check is one batch with one product.
+    # code8's weight-<=1 check is one batch with one product, and so is
+    # Shor's [[9,1,3]] code's: its errors reach 20 of its 128 cosets,
+    # and a batch holds 83.
     builds, products = [], []
     permutations, matmul = kl._signed_permutations, np.matmul
 
@@ -122,11 +149,12 @@ def test_amplitudes_stream_in_chunks(monkeypatch):
     assert len(builds) > 1 and max(builds) * span <= kl._CHUNK
     assert sum(builds) * span == 49 << 16
     assert max(products) <= kl._CHUNK
-    builds.clear()
-    products.clear()
-    kl_check(builtin("code8"), enumerate_errors(8, 1))
-    assert len(builds) == 1
-    assert len(products) == 1
+    for code in (builtin("code8"), shor_code9()):
+        builds.clear()
+        products.clear()
+        assert_exact(kl_check(code, enumerate_errors(code.n, 1)))
+        assert len(builds) == 1
+        assert len(products) == 1
 
 
 def test_generator_maps_built_a_chunk_at_a_time(monkeypatch):
@@ -152,28 +180,31 @@ def test_generator_maps_built_a_chunk_at_a_time(monkeypatch):
 
 def test_kl_code5():
     report = kl_check(builtin("code5"), enumerate_errors(5, 1))
-    assert report.passed and report.full_rank
+    assert_exact(report)
+    assert report.full_rank
     assert report.c_matrix.shape == (16, 16)
-    assert np.allclose(report.c_matrix, np.eye(16), atol=1e-12)
-    assert report.max_deviation < 1e-10
+    assert np.array_equal(report.c_matrix, np.eye(16))
 
 
 def test_kl_code8():
     report = kl_check(builtin("code8"), enumerate_errors(8, 1))
-    assert report.passed and report.full_rank and report.rank == 25
+    assert_exact(report)
+    assert report.full_rank and report.rank == 25
     assert np.allclose(np.diag(report.c_matrix), 1.0, atol=1e-12)
 
 
 def test_kl_code13_at_the_default_limit():
     report = kl_check(builtin("code13"), enumerate_errors(13, 1))
-    assert report.passed and report.full_rank and report.rank == 40
+    assert_exact(report)
+    assert report.full_rank and report.rank == 40
 
 
 def test_kl_hamming_class4_at_the_default_limit():
     # n = 16, k = 10: 2^10 x 2^10 Gram blocks, of which only the cells the
     # 2^16 basis indices reach are ever formed.
     report = kl_check(hamming_class(4), enumerate_errors(16, 1))
-    assert report.passed and report.full_rank and report.rank == 49
+    assert_exact(report)
+    assert report.full_rank and report.rank == 49
 
 
 def test_kl_identity_only():
@@ -230,7 +261,8 @@ def test_minus_group_excusal_agrees_with_kl(beside_code5):
         rows += [tensor(identity(5), g) for g in code.generators]
         code = StabilizerCode(rows)
     kl = kl_check(code, enumerate_errors(code.n, 1))
-    assert kl.passed and not kl.full_rank
+    assert_exact(kl)
+    assert not kl.full_rank
     report = verify_distance3(code, allow_degenerate=True)
     assert report.ok and report.degenerate and report.witness is None
     pad = "IIIII" if beside_code5 else ""

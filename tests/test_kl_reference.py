@@ -192,8 +192,8 @@ ONE_COSET_CASES = [
     "name, code, weight", ONE_COSET_CASES, ids=[name for name, _, _ in ONE_COSET_CASES]
 )
 def test_one_coset_batches_match_reference(monkeypatch, name, code, weight):
-    # With one coset per batch, each coset that no error maps onto a kept
-    # coset is a batch with no live coset, which must add nothing.
+    # One coset per batch, and the low X-rank codes' errors reach only some
+    # of their cosets: each reached coset must add its products once.
     monkeypatch.setattr(kl, "_CHUNK", 1)
     errors = enumerate_errors(code.n, weight)
     assert_same_report(kl_check(code, errors), reference_kl_check(code, errors))
