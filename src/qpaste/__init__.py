@@ -32,6 +32,7 @@ from .verification import (
     BoundStatus,
     DistanceReport,
     best_k,
+    check_code,
     distance,
     enumerate_errors,
     hamming_bound,
@@ -82,6 +83,7 @@ __all__ = [
     "BoundStatus",
     "DistanceReport",
     "best_k",
+    "check_code",
     "distance",
     "enumerate_errors",
     "hamming_bound",

@@ -13,22 +13,12 @@ import argparse
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Iterator
 
 from . import files
 from .catalog import _BUILTINS, builtin, hamming_class, perfect
-from .kl import kl_check
 from .pasting import PasteError, PasteVerificationError, augment, paste
-from .pauli import PauliOperator, PauliParseError, format_pauli
-from .stabilizer import validate
-from .verification import (
-    BoundStatus,
-    best_k,
-    distance,
-    enumerate_errors,
-    hamming_bound,
-    verify_distance3,
-)
+from .pauli import PauliParseError, format_pauli
+from .verification import _perfect_tag, best_k, check_code, enumerate_errors, hamming_bound
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -64,15 +54,6 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _perfect_tag(status: BoundStatus) -> str:
-    return "perfect" if status is BoundStatus.SATURATED else "not perfect"
-
-
-def _one_error_set(n: int) -> Iterator[PauliOperator]:
-    """The weight <= 1 errors, enumerated only once the KL check reads them."""
-    yield from enumerate_errors(n, 1)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     padded = files.loads(_read_text(args.file))
     if padded.pad_count:
@@ -84,50 +65,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("result: fail")
         return EXIT_VERIFY
     code = padded.base
-    k = code.n - code.a
-    print(f"n={code.n} a={code.a} k={k}")
-    report = validate(code)
-    if not report.ok:
-        print("validate: FAIL")
-        for violation in report.violations:
-            print(f"  violation {violation}")
-        print("result: fail")
-        return EXIT_VERIFY
-    print("validate: pass")
+    print(f"n={code.n} a={code.a} k={code.n - code.a}")
     ok = True
-    d3 = verify_distance3(code, allow_degenerate=True)
-    if d3.ok:
-        kind = (
-            f"degenerate, {len(d3.degenerate_pairs)} excused pair(s)"
-            if d3.degenerate
-            else "nondegenerate"
-        )
-        print(
-            f"distance3: pass ({d3.distinct_count}/{d3.error_count} distinct "
-            f"syndromes, {kind})"
-        )
-    else:
-        ok = False
-        e, f = d3.witness
-        print(f"distance3: FAIL (collision between {e} and {f})")
-    status = hamming_bound(code.n, k)
-    print(f"bound: {status} (best_k={best_k(code.n)}, {_perfect_tag(status)})")
-    if args.distance is not None:
-        found = distance(code, args.distance)
-        shown = found if found is not None else "none"
-        print(f"distance: {shown} (searched weight <= {args.distance})")
-    if args.kl:
-        kl = kl_check(code, _one_error_set(code.n))
-        # rank(C) counts the errors' classes up to +-S; when distance3 passes,
-        # those are its distinct syndromes, degenerate codes included.
-        verdict = "pass" if kl.passed and kl.rank == d3.distinct_count else "FAIL"
-        size = kl.c_matrix.shape[0]
-        print(
-            f"kl: {verdict} (C rank {kl.rank}/{size}, max deviation "
-            f"{kl.max_deviation:.2e})"
-        )
-        if verdict == "FAIL":
-            ok = False
+    for line, passed in check_code(code, args.distance, args.kl):
+        print(line)
+        ok = ok and passed
     print(f"result: {'pass' if ok else 'fail'}")
     return EXIT_OK if ok else EXIT_VERIFY
 

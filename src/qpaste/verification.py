@@ -13,8 +13,9 @@ import functools
 from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
+from .kl import kl_check
 from .pauli import _FACTOR_BITS, PauliOperator, identity
-from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid
+from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid, validate
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
@@ -204,6 +205,10 @@ def is_perfect(n: int, k: int) -> bool:
     return hamming_bound(n, k) is BoundStatus.SATURATED
 
 
+def _perfect_tag(status: BoundStatus) -> str:
+    return "perfect" if status is BoundStatus.SATURATED else "not perfect"
+
+
 def best_k(n: int) -> int | None:
     """Largest k with (3n+1) * 2^k <= 2^n, or None when even k=0 fails."""
     if n < 1:
@@ -223,3 +228,52 @@ def perfect_length(j: int) -> int:
     if j < 1:
         raise ValueError("perfect codes are indexed from 1")
     return (4 ** (j + 1) - 1) // 3
+
+
+def check_code(
+    code: StabilizerCode, max_weight: int | None = None, kl: bool = False
+) -> Iterator[tuple[str, bool]]:
+    """Stream ``qpaste verify``'s report lines on ``code`` as ``(line, ok)`` pairs.
+
+    The lines are validate, distance3, bound, then distance when
+    ``max_weight`` is given and kl when ``kl`` is set; each check runs only
+    when its pair is read, and a refused one raises ``ValueError`` then.  An
+    invalid code yields only its validate line, with one ``  violation``
+    line per violation.  bound and distance are findings, always ok; kl
+    passes when the Knill-Laflamme conditions hold and rank(C) equals
+    distance3's distinct-syndrome count.
+    """
+    report = validate(code)
+    if not report.ok:
+        lines = ["validate: FAIL"] + [f"  violation {v}" for v in report.violations]
+        yield "\n".join(lines), False
+        return
+    yield "validate: pass", True
+    d3 = verify_distance3(code, allow_degenerate=True)
+    if d3.ok:
+        kind = (
+            f"degenerate, {len(d3.degenerate_pairs)} excused pair(s)"
+            if d3.degenerate
+            else "nondegenerate"
+        )
+        counts = f"{d3.distinct_count}/{d3.error_count}"
+        yield f"distance3: pass ({counts} distinct syndromes, {kind})", True
+    else:
+        e, f = d3.witness
+        yield f"distance3: FAIL (collision between {e} and {f})", False
+    status = hamming_bound(code.n, code.n - code.a)
+    yield f"bound: {status} (best_k={best_k(code.n)}, {_perfect_tag(status)})", True
+    if max_weight is not None:
+        found = distance(code, max_weight)
+        shown = found if found is not None else "none"
+        yield f"distance: {shown} (searched weight <= {max_weight})", True
+    if kl:
+        result = kl_check(code, enumerate_errors(code.n, 1))
+        # rank(C) counts the errors' classes up to +-S; when distance3 passes,
+        # those are its distinct syndromes, degenerate codes included.
+        passed = result.passed and result.rank == d3.distinct_count
+        size = result.c_matrix.shape[0]
+        yield (
+            f"kl: {'pass' if passed else 'FAIL'} (C rank {result.rank}/{size}, "
+            f"max deviation {result.max_deviation:.2e})"
+        ), passed

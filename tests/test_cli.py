@@ -9,7 +9,6 @@ import pytest
 from qpaste.catalog import builtin, perfect
 from qpaste.cli import main
 from qpaste.files import dumps
-from qpaste.verification import enumerate_errors
 
 from helpers import degenerate_code6, fail_distance3_on, shor_code9
 
@@ -72,23 +71,6 @@ def test_verify_kl_code13(stab_files, capsys):
     out = capsys.readouterr().out
     assert "kl: pass (C rank 40/40" in out
     assert "result: pass" in out
-
-
-def test_verify_kl_refusal_builds_no_errors(stab_files, capsys, monkeypatch):
-    import qpaste.cli as cli
-
-    built = []
-
-    def spy(n, t):
-        built.append((n, t))
-        return enumerate_errors(n, t)
-
-    monkeypatch.setattr(cli, "enumerate_errors", spy)
-    assert main(["verify", stab_files["perfect2"], "--kl"]) == 2
-    assert built == []
-    assert main(["verify", stab_files["code5"], "--kl"]) == 0
-    assert built == [(5, 1)]
-    assert "kl: pass (C rank 16/16" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("weight", ["0", "-1"])

@@ -231,7 +231,10 @@ def _text(source) -> str:
 
 
 class _Digest(io.TextIOBase):
-    """A text stream that keeps only the SHA-256 of what is written and its head."""
+    """A text stream that keeps only the SHA-256 of what is written and its head.
+
+    ``syndromes`` on perfect(6) writes about 90 MB, so nothing keeps the whole text.
+    """
 
     def __init__(self):
         self.sha = hashlib.sha256()

@@ -32,6 +32,7 @@ PUBLIC = [
     "best_k",
     "builtin",
     "can_paste",
+    "check_code",
     "commutes",
     "contains",
     "distance",
@@ -77,7 +78,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 48
     assert sorted(qpaste.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qpaste, name) is not None

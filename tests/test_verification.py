@@ -11,6 +11,7 @@ from qpaste.stabilizer import InvalidCodeError, StabilizerCode
 from qpaste.verification import (
     BoundStatus,
     best_k,
+    check_code,
     distance,
     enumerate_errors,
     hamming_bound,
@@ -272,3 +273,39 @@ def test_distance_rejects_weight_below_one():
     for w in (0, -1):
         with pytest.raises(ValueError, match=r"1\.\.5"):
             distance(code, w)
+
+
+def test_check_code_stops_at_an_invalid_code():
+    items = list(check_code(from_strings("XX", "XX"), max_weight=2, kl=True))
+    assert items == [
+        (
+            "validate: FAIL\n  violation rank (2,): generator 2 is a product of "
+            "earlier ones, rank 1 < 2",
+            False,
+        )
+    ]
+
+
+def test_check_code_kl_line_needs_the_distinct_count(monkeypatch):
+    def short_rank(code, errors):
+        report = kl_check(code, errors)
+        assert report.passed
+        return report._replace(rank=report.rank - 1)
+
+    monkeypatch.setattr(verification, "kl_check", short_rank)
+    items = list(check_code(builtin("code5"), kl=True))
+    assert [ok for _, ok in items] == [True, True, True, False]
+    assert items[-1][0] == "kl: FAIL (C rank 15/16, max deviation 0.00e+00)"
+
+
+def test_check_code_runs_a_check_only_when_its_line_is_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ran before its line was read")
+
+    monkeypatch.setattr(verification, "distance", refuse)
+    monkeypatch.setattr(verification, "kl_check", refuse)
+    lines = check_code(builtin("code13"), max_weight=3, kl=True)
+    first = [line for line, _ in itertools.islice(lines, 3)]
+    assert [line.split(":")[0] for line in first] == ["validate", "distance3", "bound"]
+    with pytest.raises(AssertionError, match="before its line"):
+        next(lines)
