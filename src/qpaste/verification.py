@@ -3,6 +3,7 @@
 Error enumeration order is part of the public contract: weight ascending,
 then acting positions ascending, then factors in the order X < Y < Z, the
 identity first.  Witness pairs and reports are therefore reproducible.
+``_operator`` alone builds the operators in that order, for every weight.
 The bound arithmetic is exact big-integer throughout.
 """
 
@@ -14,7 +15,7 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
 from .kl import kl_check
-from .pauli import _FACTOR_BITS, PauliOperator, identity
+from .pauli import _FACTOR_BITS, PauliOperator
 from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid, validate
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
@@ -48,16 +49,6 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
     Arguments out of range raise ``ValueError`` when iteration starts.
     """
     _check_range(n, w)
-    if w == 0:
-        yield identity(n)
-        return
-    if w == 1:
-        # The loop below for one position, built directly: X, Y, Z per qubit.
-        for b in (1 << i for i in range(n)):
-            yield PauliOperator(n, b, 0, 1)
-            yield PauliOperator(n, b, b, 1)
-            yield PauliOperator(n, 0, b, 1)
-        return
     for positions in combinations(range(n), w):
         for factors in product(range(3), repeat=w):
             yield _operator(n, positions, factors)
@@ -125,7 +116,7 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
 def _weight1_error(n: int, index: int) -> PauliOperator:
     """Error ``index`` of enumerate_errors(n, 1)."""
     if index == 0:
-        return identity(n)
+        return _operator(n, (), ())
     qubit, factor = divmod(index - 1, 3)
     return _operator(n, (qubit,), (factor,))
 
@@ -262,7 +253,9 @@ def check_code(
         e, f = d3.witness
         yield f"distance3: FAIL (collision between {e} and {f})", False
     status = hamming_bound(code.n, code.n - code.a)
-    yield f"bound: {status} (best_k={best_k(code.n)}, {_perfect_tag(status)})", True
+    best = best_k(code.n)
+    shown = best if best is not None else "none"
+    yield f"bound: {status} (best_k={shown}, {_perfect_tag(status)})", True
     if max_weight is not None:
         found = distance(code, max_weight)
         shown = found if found is not None else "none"

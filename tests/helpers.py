@@ -262,6 +262,17 @@ def reference_hamming_rows(m: int, rows: list[int]) -> list[PauliOperator]:
     ]
 
 
+def reed_muller_code(m: int) -> StabilizerCode:
+    """The CSS quantum Reed-Muller code [[2^m, 2^m - 2m - 2, 4]] for m >= 4
+    (Steane, quant-ph/9608026).  Its X rows and its Z rows are both the rows
+    of RM(1, m): the all-ones row and the m coordinate rows, row r with bit v
+    set where v_r = 1."""
+    n = 1 << m
+    rows = [(1 << n) - 1] + [sum(((v >> r) & 1) << v for v in range(n)) for r in range(m)]
+    x_rows = [PauliOperator(n, row, 0) for row in rows]
+    return StabilizerCode(x_rows + [PauliOperator(n, 0, row) for row in rows], n)
+
+
 def permute_qubits(code: StabilizerCode, perm: list[int]) -> StabilizerCode:
     """Relabel qubits: new position j takes the factor of old position perm[j]."""
     rows = []

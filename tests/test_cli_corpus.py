@@ -157,7 +157,7 @@ CORPUS = [
     (("bound", "21", "15"), None, 0,
      "9015caa4cca0fc39f8e0bb5711388193b820d8a157bda721095378027f3d6b8a", EMPTY),
     (("verify", "-", "--kl"), ("text", "xx_zz"), 0,
-     "0e11abee32f5d572669c891eb44a4e19d231a7a34d4f19d18321d1209c51be7a", EMPTY),
+     "d9276783dab9572c0c56645e31de78a2def325c669a84365d6590f2124807622", EMPTY),
     (("verify", "-", "--distance"), CODE13, 0,
      "0fb814e441238c5a0a56f1986081d82c05336392066c302da18c7ed32cea9965", EMPTY),
     (("verify", "-", "--distance", "--kl"), CODE5, 0,
@@ -173,9 +173,9 @@ CORPUS = [
     (("verify", "-", "--kl"), ("text", "xxxx_zzzz"), 1,
      "3a577f67745cf5a92aca8e47c50fc070fe429a9dc04e0ad4b598b4ffd6c0a36a", EMPTY),
     (("verify", "-"), ("text", "zz"), 1,
-     "062371624f593cae5934235d57ef575ed193c97ef54a4384e986604cbb8f296c", EMPTY),
+     "7588cb9c62ae33e4a7f269bf848a9e808d7e61832fad773ed8dfa36b4587e0c5", EMPTY),
     (("verify", "-", "--kl"), ("text", "zz"), 1,
-     "ee0ac4b13f28d65bc1f54f35ade44b50643020e3abc832b0284cdca0ed03d644", EMPTY),
+     "804413e837b519310544b5a0f3551d65fa5dd9beeb9d819b490c0d94ad2e6322", EMPTY),
     (("verify", "-"), ("text", "degenerate6"), 0,
      "9d253895e9e2de73f5ffcab8d689ac88312fc5cc6b5c0b39a62dc916816aac84", EMPTY),
     (("verify", "-"), ("text", "xx_xx"), 1,

@@ -3,20 +3,29 @@
 Each drawn code has n <= 7 and 1 <= a <= n.  Random codes mostly fail to
 correct one error, so the strategy also draws degenerate codes (a random
 code with one qubit repeated, or beside the XX, ZZ pair) and qubit-shuffled
-passing codes, degenerate and not.
+passing codes, degenerate and not.  The quantum Reed-Muller codes add
+distance-4 fixtures, where the distance search scans every weight-3 candidate.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpaste.catalog import builtin
 from qpaste.kl import kl_check
 from qpaste.pauli import identity, parse_pauli, tensor
-from qpaste.stabilizer import StabilizerCode
+from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import distance, enumerate_errors, verify_distance3
 
-from helpers import degenerate_code6, random_valid_code, repeat_qubit, shuffled_qubits
+from helpers import (
+    degenerate_code6,
+    random_valid_code,
+    reed_muller_code,
+    reference_distance,
+    repeat_qubit,
+    shuffled_qubits,
+)
 
 XX_ZZ = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
 
@@ -66,5 +75,28 @@ def test_three_routes_agree(code):
 def test_three_routes_agree_on_code13():
     # The paper's [[13,7,3]] code, within the KL route's default limit.
     code = builtin("code13")
+    assert_routes_agree(code)
+    assert verify_distance3(code).ok
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_reed_muller_codes_have_distance_four(m):
+    # [[16,6,4]], [[32,20,4]], [[64,50,4]]: a full weight-3 scan finds nothing.
+    code = reed_muller_code(m)
+    assert (code.n, code.n - code.a) == (1 << m, (1 << m) - 2 * m - 2)
+    assert validate(code).ok
+    assert distance(code, 3) is None
+    assert distance(code, 4) == 4
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_reed_muller_distance_matches_reference(m):
+    code = reed_muller_code(m)
+    assert reference_distance(code, 4) == distance(code, 4) == 4
+
+
+def test_three_routes_agree_on_reed_muller16():
+    # [[16,6,4]], within the KL route's default limit.
+    code = reed_muller_code(4)
     assert_routes_agree(code)
     assert verify_distance3(code).ok

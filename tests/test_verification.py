@@ -47,6 +47,10 @@ def test_error_order_frozen():
     assert type(enumerate_errors(2, 1)) is tuple
     weight2 = [format_pauli(e) for e in enumerate_errors(2, 2)[7:10]]
     assert weight2 == ["XX", "XY", "XZ"]
+    members = [format_pauli(e) for e in enumerate_errors(3, 1)]
+    assert members == ["III", "XII", "YII", "ZII", "IXI", "IYI", "IZI", "IIX", "IIY", "IIZ"]
+    weight2 = [format_pauli(e) for e in enumerate_errors(3, 2)[10:20]]
+    assert weight2 == ["XXI", "XYI", "XZI", "YXI", "YYI", "YZI", "ZXI", "ZYI", "ZZI", "XIX"]
 
 
 def test_error_sets_are_shared_and_bounded():
@@ -284,6 +288,12 @@ def test_check_code_stops_at_an_invalid_code():
             False,
         )
     ]
+
+
+def test_check_code_spells_an_empty_best_k_none():
+    # No k satisfies the bound at n = 2, which bound's report spells "none" too.
+    items = list(check_code(from_strings("XX", "ZZ")))
+    assert items[2] == ("bound: violated (best_k=none, not perfect)", True)
 
 
 def test_check_code_kl_line_needs_the_distinct_count(monkeypatch):
