@@ -19,13 +19,11 @@ from .pauli import (
     y_count,
 )
 from .stabilizer import (
-    CodeParameters,
     InvalidCodeError,
     StabilizerCode,
     ValidationReport,
     Violation,
     contains,
-    parameters,
     validate,
 )
 from .verification import (
@@ -36,7 +34,6 @@ from .verification import (
     distance,
     enumerate_errors,
     hamming_bound,
-    is_perfect,
     iter_weight_errors,
     perfect_length,
     verify_distance3,
@@ -57,7 +54,7 @@ from .pasting import (
     locate_xz_generators,
     paste,
 )
-from .catalog import CatalogEntry, builtin, entries, hamming_class, perfect
+from .catalog import builtin, hamming_class, perfect
 from .files import StabilizerFileError, dumps, loads
 
 __version__ = "0.1.0"
@@ -72,13 +69,11 @@ __all__ = [
     "parse_pauli",
     "tensor",
     "y_count",
-    "CodeParameters",
     "InvalidCodeError",
     "StabilizerCode",
     "ValidationReport",
     "Violation",
     "contains",
-    "parameters",
     "validate",
     "BoundStatus",
     "DistanceReport",
@@ -87,7 +82,6 @@ __all__ = [
     "distance",
     "enumerate_errors",
     "hamming_bound",
-    "is_perfect",
     "iter_weight_errors",
     "perfect_length",
     "verify_distance3",
@@ -103,9 +97,7 @@ __all__ = [
     "can_paste",
     "locate_xz_generators",
     "paste",
-    "CatalogEntry",
     "builtin",
-    "entries",
     "hamming_class",
     "perfect",
     "StabilizerFileError",

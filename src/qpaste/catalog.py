@@ -17,7 +17,7 @@ arguments return the same object.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import gf2
 from .pauli import PauliOperator, parse_pauli
@@ -49,11 +49,11 @@ _CODE13_ROWS = (
     "IIIIIIIIZIZXX",
 )
 
-# name: (rows, expected (n, a), provenance), in catalog order.
+# name: (rows, expected (n, a)), in catalog order.
 _BUILTINS = {
-    "code5": (_CODE5_ROWS, (5, 4), "builtin"),
-    "code8": (_CODE8_ROWS, (8, 5), "builtin"),
-    "code13": (_CODE13_ROWS, (13, 6), "pasted"),
+    "code5": (_CODE5_ROWS, (5, 4)),
+    "code8": (_CODE8_ROWS, (8, 5)),
+    "code13": (_CODE13_ROWS, (13, 6)),
 }
 
 # One primitive polynomial per degree, coefficients as a bitmask including
@@ -71,14 +71,6 @@ _PRIMITIVE_POLY = {
     11: 0b100000000101,
     12: 0b1000001010011,
 }
-
-class CatalogEntry(NamedTuple):
-    name: str
-    code: StabilizerCode
-    provenance: str  # "builtin" or "pasted", as in _BUILTINS
-    n: int
-    a: int
-    k: int
 
 
 def _shaped(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
@@ -107,7 +99,7 @@ def _builtin(name: str) -> StabilizerCode:
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown catalog code {name!r} (known: {known})")
-    rows, (n, a), _ = _BUILTINS[name]
+    rows, (n, a) = _BUILTINS[name]
     return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
 
 
@@ -216,12 +208,3 @@ def _perfect(j: int) -> StabilizerCode:
     # paste has validated and syndrome-checked the code; builtin checked code5.
     # This (n, a) saturates the bound for every j (see perfect_length).
     return _shaped(code, perfect_length(j), 2 * j + 2, f"perfect({j})")
-
-
-def entries() -> tuple[CatalogEntry, ...]:
-    """The shipped catalog codes with their provenance and parameters."""
-    out = []
-    for name, (_, _, provenance) in _BUILTINS.items():
-        code = builtin(name)
-        out.append(CatalogEntry(name, code, provenance, code.n, code.a, code.n - code.a))
-    return tuple(out)

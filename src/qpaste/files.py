@@ -1,9 +1,10 @@
 """Line-oriented stabilizer file format.
 
 One generator per line in Pauli text form, all lines the same length.
-Blank lines and lines starting with '#' are ignored.  A line of all 'I'
-is accepted and marks a placeholder row, so parsing always yields a
-padding-aware template; plain codes are templates with pad_count 0.
+Blank lines and lines starting with '#' are ignored, as is one UTF-8
+byte-order mark before the first line.  A line of all 'I' is accepted
+and marks a placeholder row, so parsing always yields a padding-aware
+template; plain codes are templates with pad_count 0.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ class StabilizerFileError(ValueError):
 
 def loads(text: str) -> PaddedCode:
     """Parse file content into a generator template."""
+    text = text.removeprefix("\ufeff")
     rows = []
     n = None
     first_line = None

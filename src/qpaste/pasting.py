@@ -58,15 +58,6 @@ class PaddedCode:
     def row_count(self) -> int:
         return len(self.rows)
 
-    def as_code(self) -> StabilizerCode:
-        """The underlying code; refuses templates that still carry padding."""
-        if self.pad_count:
-            raise ValueError(
-                f"{self.pad_count} placeholder identity row(s) present; "
-                "placeholders are only valid as pasting input"
-            )
-        return self.base
-
     def __repr__(self) -> str:
         return f"PaddedCode(n={self.n}, rows={self.row_count}, pad={self.pad_count})"
 

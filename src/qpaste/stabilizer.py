@@ -155,14 +155,6 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-class CodeParameters(NamedTuple):
-    """n physical qubits, a generators, k = n - a encoded qubits."""
-
-    n: int
-    a: int
-    k: int
-
-
 def validate(code: StabilizerCode) -> ValidationReport:
     """Check commutation, squaring to +1 and GF(2) independence.
 
@@ -245,10 +237,3 @@ def contains(code: StabilizerCode, p: PauliOperator) -> bool:
     if combination is None:
         return False
     return _replay(code, combination).sign == p.sign
-
-
-def parameters(code: StabilizerCode) -> CodeParameters:
-    """Code parameters; requires a valid code."""
-    _require_valid(code)
-    return CodeParameters(code.n, code.a, code.n - code.a)
-

@@ -192,10 +192,6 @@ def hamming_bound(n: int, k: int) -> BoundStatus:
     return BoundStatus.SATISFIED
 
 
-def is_perfect(n: int, k: int) -> bool:
-    return hamming_bound(n, k) is BoundStatus.SATURATED
-
-
 def _perfect_tag(status: BoundStatus) -> str:
     return "perfect" if status is BoundStatus.SATURATED else "not perfect"
 

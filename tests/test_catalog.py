@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from qpaste import catalog, pasting
-from qpaste.catalog import builtin, entries, hamming_class, perfect
+from qpaste.catalog import builtin, hamming_class, perfect
 from qpaste.files import dumps
 from qpaste.pauli import format_pauli
 from qpaste.pasting import locate_xz_generators
@@ -245,15 +245,6 @@ def test_perfect_j5_behind_flag():
     code = perfect(5, j_max=5)
     assert (code.n, code.a) == (1365, 12)
     assert hamming_bound(1365, 1365 - 12) is BoundStatus.SATURATED
-
-
-def test_entries():
-    listed = entries()
-    assert [e.name for e in listed] == ["code5", "code8", "code13"]
-    by_name = {e.name: e for e in listed}
-    assert by_name["code13"].provenance == "pasted"
-    assert by_name["code5"].provenance == "builtin"
-    assert all(e.k == e.n - e.a for e in listed)
 
 
 def test_equal_arguments_return_the_same_object():

@@ -366,6 +366,40 @@ def test_stdin_verify(monkeypatch, capsys):
     assert "n=5 a=4 k=1" in capsys.readouterr().out
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def _verify_bytes(monkeypatch, capsys, tmp_path, data: bytes, source: str):
+    """Exit code and output of ``verify`` on raw bytes, from stdin or from a file."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        argv = ["verify", "-"]
+    else:
+        path = tmp_path / "code.stab"
+        path.write_bytes(data)
+        argv = ["verify", str(path)]
+    status = main(argv)
+    return (status, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_skips_a_leading_byte_order_mark(source, monkeypatch, capsys, tmp_path):
+    plain = dumps(builtin("code5")).encode()
+    expected = _verify_bytes(monkeypatch, capsys, tmp_path, plain, source)
+    assert expected[0] == 0 and expected[2] == ""
+    assert _verify_bytes(monkeypatch, capsys, tmp_path, _BOM + plain, source) == expected
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_rejects_a_later_byte_order_mark(source, monkeypatch, capsys, tmp_path):
+    data = b"XXZIZ\n" + _BOM + b"ZXXZI\nIZXXZ\nZIZXX\n"
+    assert _verify_bytes(monkeypatch, capsys, tmp_path, data, source) == (
+        3,
+        "",
+        "error: line 2: invalid character '\\ufeff' at position 1\n",
+    )
+
+
 def test_pipe_family_perfect_into_verify():
     # family perfect 2 | verify -  (through real processes)
     emit = subprocess.run(

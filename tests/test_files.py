@@ -7,19 +7,21 @@ import pytest
 from qpaste.catalog import builtin
 from qpaste.files import StabilizerFileError, dumps, loads
 from qpaste.pasting import augment
+from qpaste.stabilizer import StabilizerCode, validate
 
 
 def test_round_trip():
     text = dumps(builtin("code13"))
     again = loads(text)
     assert again.pad_count == 0
-    assert again.as_code() == builtin("code13")
+    assert again.base == builtin("code13")
     assert dumps(again) == text
 
 
 def test_comments_and_blank_lines():
     text = "# the five-qubit code\n\nXXZIZ\nZXXZI\n# middle note\nIZXXZ\nZIZXX\n\n"
-    assert loads(text).as_code() == builtin("code5")
+    padded = loads(text)
+    assert padded.pad_count == 0 and padded.base == builtin("code5")
 
 
 def test_placeholder_rows_detected():
@@ -27,8 +29,8 @@ def test_placeholder_rows_detected():
     padded = loads(text)
     assert padded.pad_count == 1 and padded.row_count == 5
     assert padded.base == builtin("code5")
-    with pytest.raises(ValueError, match="pasting input"):
-        padded.as_code()
+    # The placeholder makes the rows dependent, so they are no code by themselves.
+    assert not validate(StabilizerCode(padded.rows)).ok
 
 
 def test_padded_round_trip():
@@ -44,6 +46,19 @@ def test_ragged_lines_rejected():
 def test_bad_character_rejected():
     with pytest.raises(StabilizerFileError, match="line 1"):
         loads("XXAIZ\n")
+
+
+def test_leading_byte_order_mark_skipped():
+    text = dumps(builtin("code5"))
+    assert loads("\ufeff" + text).base == loads(text).base == builtin("code5")
+    assert loads("\ufeff# a comment\n" + text).base == builtin("code5")
+
+
+def test_only_one_leading_byte_order_mark_skipped():
+    # A second mark is a bad character on line 1; one on a later line is
+    # refused the same way (tests/test_cli.py).
+    with pytest.raises(StabilizerFileError, match=r"line 1: invalid character '\\ufeff'"):
+        loads("\ufeff\ufeff" + dumps(builtin("code5")))
 
 
 def test_signed_row_rejected():

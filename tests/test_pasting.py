@@ -63,12 +63,6 @@ def test_augment_argument_checks():
         augment(builtin("code5"), 1, "middle")
 
 
-def test_padded_as_code():
-    assert augment(builtin("code5"), 0, "append").as_code() == builtin("code5")
-    with pytest.raises(ValueError, match="placeholder"):
-        augment(builtin("code5"), 1, "append").as_code()
-
-
 def test_locate_xz_untouched():
     code = builtin("code8")
     assert locate_xz_generators(code) is code

@@ -3,8 +3,6 @@
 import pytest
 
 from qpaste import (
-    CatalogEntry,
-    CodeParameters,
     DistanceReport,
     KLReport,
     PasteCheck,
@@ -12,7 +10,6 @@ from qpaste import (
     PauliOperator,
     ValidationReport,
     Violation,
-    builtin,
     parse_pauli,
 )
 
@@ -51,7 +48,6 @@ RECORDS = [
         True,
         [],
     ),
-    (CodeParameters, lambda: {"n": 13, "a": 6, "k": 7}, {}, True, []),
     (
         DistanceReport,
         lambda: {
@@ -69,20 +65,6 @@ RECORDS = [
     (KLReport, _kl_fields, {}, False, []),
     (PasteCheck, lambda: dict(_CHECK), {}, True, []),
     (PasteDiagnostics, lambda: {"checks": (PasteCheck(**_CHECK),)}, {}, True, []),
-    (
-        CatalogEntry,
-        lambda: {
-            "name": "code5",
-            "code": builtin("code5"),
-            "provenance": "builtin",
-            "n": 5,
-            "a": 4,
-            "k": 1,
-        },
-        {},
-        True,
-        [],
-    ),
 ]
 
 

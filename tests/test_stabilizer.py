@@ -11,13 +11,7 @@ from qpaste.pauli import (
     multiply,
     parse_pauli,
 )
-from qpaste.stabilizer import (
-    InvalidCodeError,
-    StabilizerCode,
-    contains,
-    parameters,
-    validate,
-)
+from qpaste.stabilizer import StabilizerCode, contains, validate
 
 from helpers import (
     Syndrome,
@@ -232,20 +226,6 @@ def test_contains_rejects_random_outsiders():
         p = random_pauli(rng, 8)
         if not syndrome(code, p).is_zero:
             assert not contains(code, p)
-
-
-def test_parameters():
-    p13 = parameters(builtin("code13"))
-    assert (p13.n, p13.a, p13.k) == (13, 6, 7)
-    p5 = parameters(builtin("code5"))
-    assert (p5.n, p5.a, p5.k) == (5, 4, 1)
-    p8 = parameters(builtin("code8"))
-    assert (p8.n, p8.a, p8.k) == (8, 5, 3)
-
-
-def test_parameters_requires_valid():
-    with pytest.raises(InvalidCodeError):
-        parameters(from_strings("X", "Z"))
 
 
 def test_bit_exact_equality():

@@ -1,9 +1,10 @@
 """Property tests: the three verification routes agree on random small codes.
 
-Each drawn code has n <= 7 and 1 <= a <= n.  Random codes mostly fail to
+Each drawn code has n <= 10 and 1 <= a <= n.  Random codes mostly fail to
 correct one error, so the strategy also draws degenerate codes (a random
 code with one qubit repeated, or beside the XX, ZZ pair) and qubit-shuffled
-passing codes, degenerate and not.  The quantum Reed-Muller codes add
+passing codes, degenerate and not.  Seeded shuffles of code13 and
+hamming_class(4) reach n = 13 and 16.  The quantum Reed-Muller codes add
 distance-4 fixtures, where the distance search scans every weight-3 candidate.
 """
 
@@ -12,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpaste.catalog import builtin
+from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import kl_check
 from qpaste.pauli import identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode, validate
@@ -24,6 +25,7 @@ from helpers import (
     reed_muller_code,
     reference_distance,
     repeat_qubit,
+    shor_code9,
     shuffled_qubits,
 )
 
@@ -36,14 +38,22 @@ def _beside(left: StabilizerCode, right: StabilizerCode) -> StabilizerCode:
     return StabilizerCode(rows, left.n + right.n)
 
 
-PASSING = (builtin("code5"), degenerate_code6(), XX_ZZ, _beside(builtin("code5"), XX_ZZ))
+PASSING = (
+    builtin("code5"),
+    degenerate_code6(),
+    XX_ZZ,
+    _beside(builtin("code5"), XX_ZZ),
+    shor_code9(),
+    hamming_class(3),
+    repeat_qubit(builtin("code8"), 0),
+)
 
 
 @st.composite
 def small_codes(draw) -> StabilizerCode:
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("random", "repeat", "pair", "passing")))
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 10))
     a = draw(st.integers(1, n))
     if kind == "repeat" and n >= 2:
         return repeat_qubit(random_valid_code(rng, n - 1, a - 1), rng.randrange(n - 1))
@@ -68,7 +78,7 @@ def assert_routes_agree(code: StabilizerCode) -> None:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_codes())
 def test_three_routes_agree(code):
-    assert 1 <= code.a <= code.n <= 7
+    assert 1 <= code.a <= code.n <= 10
     assert_routes_agree(code)
 
 
@@ -77,6 +87,18 @@ def test_three_routes_agree_on_code13():
     code = builtin("code13")
     assert_routes_agree(code)
     assert verify_distance3(code).ok
+
+
+@pytest.mark.parametrize(
+    "code", [builtin("code13"), hamming_class(4)], ids=["code13", "hamming_class(4)"]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_routes_agree_on_shuffled_larger_codes(code, seed):
+    # n = 13 and 16, within the KL route's default limit.
+    shuffled = shuffled_qubits(random.Random(seed), code)
+    assert shuffled.generators != code.generators
+    assert_routes_agree(shuffled)
+    assert verify_distance3(shuffled).ok
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
