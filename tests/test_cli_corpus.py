@@ -35,6 +35,9 @@ TEXTS = {
     "anticommuting3": "XXXXX\nZIIII\nIZIII\n",
     "colliding6": "XXXXXX\nZZZZZZ\nZZIIII\nXXIIII\nIIZZII\nIIXXII\n",
     "code5_pad": "XXZIZ\nZXXZI\nIZXXZ\nZIZXX\nIIIII\n",
+    # Passing paste operands whose placeholder rows come from the file.
+    "code8_trailing_pad": "XXXXXXXX\nZZZZZZZZ\nXIXIZYZY\nXIYZXIYZ\nXZIYIYXZ\nIIIIIIII\n",
+    "code5_leading_pad": "IIIII\nXXZIZ\nZXXZI\nIZXXZ\nZIZXX\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -152,6 +155,13 @@ CORPUS = [
     (("paste", CODE8, CODE5, "--augment", "1"), None, 0,
      "8ebfc301e1d5afb6e257766e56056ba382ca12b4219107b1632dd82e5a583109",
      "a1e3a465b800bc1f734a39e5903a91297bcdda5974d6368188ebc6cbfa14e167"),
+    # The same paste with its placeholder row read from the file: code13's rows.
+    (("paste", ("text", "code8_trailing_pad"), CODE5), None, 0,
+     "8ebfc301e1d5afb6e257766e56056ba382ca12b4219107b1632dd82e5a583109",
+     "a1e3a465b800bc1f734a39e5903a91297bcdda5974d6368188ebc6cbfa14e167"),
+    (("paste", ("hamming", 5), ("text", "code5_leading_pad")), None, 0,
+     "05b7f7cf41f70182971b83264363918dd0da863900fd738d1a254d3feee6ab32",
+     "487877f3376859a1d3798e8ad9d21842ef6ba4f8ae4a0e8777075e041112f122"),
     (("bound", "13"), None, 0,
      "337faa482ec749331466894566e8be857154ed736edc97db8b0f61e9837a954a", EMPTY),
     (("bound", "21", "15"), None, 0,
