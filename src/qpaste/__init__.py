@@ -44,7 +44,6 @@ from .kl import (
     kl_check,
 )
 from .pasting import (
-    PaddedCode,
     PasteCheck,
     PasteDiagnostics,
     PasteError,
@@ -88,7 +87,6 @@ __all__ = [
     "CapExceededError",
     "KLReport",
     "kl_check",
-    "PaddedCode",
     "PasteCheck",
     "PasteDiagnostics",
     "PasteError",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import files
 from .catalog import _BUILTINS, builtin, hamming_class, perfect
-from .pasting import PasteError, PasteVerificationError, augment, paste
+from .pasting import PasteError, PasteVerificationError, _placeholders, augment, paste
 from .pauli import PauliParseError, format_pauli
 from .verification import _perfect_tag, best_k, check_code, enumerate_errors, hamming_bound
 
@@ -32,15 +32,15 @@ _DECIMAL_LIMIT = 10**_MAX_DECIMAL_DIGITS
 
 
 def _read_text(path: str) -> str:
-    # Undecodable bytes survive as lone surrogates, as standard input keeps them
-    # under a C locale, and the parser rejects them with a line number.
-    if path == "-":
-        try:
-            return sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            # A strict stdin: the error holds the bytes it read; decode them as a file.
-            return exc.object.decode(exc.encoding, "surrogateescape")
-    return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    # Standard input is decoded as a file is, whatever its stream's encoding:
+    # UTF-8, with undecodable bytes kept as lone surrogates that the parser
+    # rejects with a line number.  A text-only stream (no .buffer) is read as text.
+    if path != "-":
+        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        return sys.stdin.read()
+    return buffer.read().decode("utf-8", "surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -55,16 +55,16 @@ def _fail(message: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    padded = files.loads(_read_text(args.file))
-    if padded.pad_count:
+    code = files.loads(_read_text(args.file))
+    pads = sum(_placeholders(code))
+    if pads:
         _fail(
-            f"file contains {padded.pad_count} placeholder identity row(s); "
+            f"file contains {pads} placeholder identity row(s); "
             "placeholders are only valid as paste input (add them with "
             "`paste --augment` instead)"
         )
         print("result: fail")
         return EXIT_VERIFY
-    code = padded.base
     print(f"n={code.n} a={code.a} k={code.n - code.a}")
     ok = True
     for line, passed in check_code(code, args.distance, args.kl):
@@ -123,14 +123,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_syndromes(args: argparse.Namespace) -> int:
-    padded = files.loads(_read_text(args.file))
-    if padded.pad_count:
+    code = files.loads(_read_text(args.file))
+    if any(_placeholders(code)):
         _fail(
             "placeholder identity rows present; the syndrome table needs a "
             "plain code"
         )
         return EXIT_PRECONDITION
-    code = padded.base
     for e, key in zip(enumerate_errors(code.n, 1), code._syndrome_keys):
         # Generator 1's bit first: the key's binary digits, reversed.
         print(f"{format_pauli(e)} {format(key, f'0{code.a}b')[::-1]}")

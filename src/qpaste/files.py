@@ -3,14 +3,13 @@
 One generator per line in Pauli text form, all lines the same length.
 Blank lines and lines starting with '#' are ignored, as is one UTF-8
 byte-order mark before the first line.  A line of all 'I' is accepted
-and marks a placeholder row, so parsing always yields a padding-aware
-template; plain codes are templates with pad_count 0.
+as a placeholder row: a template for pasting is a code whose identity
+rows are placeholders, read and written like any other code.
 """
 
 from __future__ import annotations
 
 from .pauli import PauliParseError, format_pauli, parse_pauli
-from .pasting import PaddedCode
 from .stabilizer import StabilizerCode
 
 
@@ -18,8 +17,8 @@ class StabilizerFileError(ValueError):
     """Raised for malformed stabilizer files."""
 
 
-def loads(text: str) -> PaddedCode:
-    """Parse file content into a generator template."""
+def loads(text: str) -> StabilizerCode:
+    """Parse file content into a code, placeholder rows kept in place."""
     text = text.removeprefix("\ufeff")
     rows = []
     n = None
@@ -47,10 +46,9 @@ def loads(text: str) -> PaddedCode:
         rows.append(row)
     if not rows:
         raise StabilizerFileError("no generator rows found")
-    return PaddedCode(rows)
+    return StabilizerCode(rows)
 
 
-def dumps(code: StabilizerCode | PaddedCode) -> str:
-    """Render a code or template, one generator per line."""
-    rows = code.rows if isinstance(code, PaddedCode) else code.generators
-    return "\n".join(format_pauli(r) for r in rows) + "\n"
+def dumps(code: StabilizerCode) -> str:
+    """Render a code, one generator per line."""
+    return "\n".join(format_pauli(r) for r in code.generators) + "\n"

@@ -8,20 +8,21 @@ the prefix 00 and are distinguished by the smaller code's generators,
 which extend the remaining rows pairwise in row order.
 
 Identity placeholder rows let generator counts be matched up: a template
-with placeholders is not itself a valid code and is only legal as pasting
-input.  The construction never applies to codes meant to correct two or
-more simultaneous errors; a two-qubit error split across the seam would
-look like an error on the original qubits alone.
+is an ordinary :class:`StabilizerCode` whose all-identity rows are
+placeholders.  With any, it fails :func:`validate` (rank) and is legal
+only as pasting input, whose checks see the code without them.  The
+construction never applies to codes meant to correct two or more
+simultaneous errors; a two-qubit error split across the seam would look
+like an error on the original qubits alone.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple
 
 from . import gf2
 from .pauli import PauliOperator, identity, tensor
-from .stabilizer import StabilizerCode, _check_rows, _pack, contains, validate
+from .stabilizer import StabilizerCode, _pack, contains, validate
 from .verification import verify_distance3
 
 CHECK_LARGER_VALID = "larger_valid"
@@ -33,49 +34,20 @@ CHECK_GENERATOR_COUNT = "generator_count"
 CHECK_PLACEHOLDER_PAIRING = "placeholder_pairing"
 
 
-class PaddedCode:
-    """Generator template whose all-identity rows are padding placeholders.
-
-    The non-placeholder rows form the underlying code (``base``).  With
-    ``pad_count`` > 0 the template is not a valid code by itself
-    (independence fails) and is accepted only by the pasting operations.
-    """
-
-    def __init__(self, rows: Iterable[PauliOperator], n: int | None = None):
-        rows = tuple(rows)
-        self.n = _check_rows(rows, n, "row")
-        self.rows = rows
-        self.placeholder_flags = tuple([r.x == 0 and r.z == 0 for r in rows])
-        self.pad_count = sum(self.placeholder_flags)
-
-    @cached_property
-    def base(self) -> StabilizerCode:
-        return StabilizerCode(
-            [r for r, flag in zip(self.rows, self.placeholder_flags) if not flag], n=self.n
-        )
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"PaddedCode(n={self.n}, rows={self.row_count}, pad={self.pad_count})"
+def _placeholders(code: StabilizerCode) -> list[bool]:
+    """One flag per row of ``code``: whether it is an identity placeholder."""
+    return [not row for row in code._packed]
 
 
-PasteInput = Union[StabilizerCode, PaddedCode]
-
-
-def _as_padded(code: PasteInput) -> PaddedCode:
-    if isinstance(code, PaddedCode):
+def _base(code: StabilizerCode, flags: list[bool]) -> StabilizerCode:
+    """``code`` without its flagged rows; ``code`` itself when none is flagged,
+    so the checks cached on it are not redone."""
+    if not any(flags):
         return code
-    padded = PaddedCode(code.generators, code.n)
-    if not padded.pad_count:
-        # The code itself, so the checks cached on it are not redone.
-        padded.base = code
-    return padded
+    return StabilizerCode([g for g, flag in zip(code.generators, flags) if not flag], code.n)
 
 
-def augment(code: PasteInput, count: int, where: str = "append") -> PaddedCode:
+def augment(code: StabilizerCode, count: int, where: str = "append") -> StabilizerCode:
     """Add ``count`` identity placeholder rows at one end of the row list.
 
     ``where`` is "append" (after the existing rows, the usual choice for
@@ -86,10 +58,9 @@ def augment(code: PasteInput, count: int, where: str = "append") -> PaddedCode:
         raise ValueError("placeholder count must be non-negative")
     if where not in ("append", "prepend"):
         raise ValueError(f"unknown placement {where!r}, use 'append' or 'prepend'")
-    padded = _as_padded(code)
-    pads = (identity(padded.n),) * count
-    rows = padded.rows + pads if where == "append" else pads + padded.rows
-    return PaddedCode(rows, padded.n)
+    pads = (identity(code.n),) * count
+    rows = code.generators + pads if where == "append" else pads + code.generators
+    return StabilizerCode(rows, code.n)
 
 
 def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:
@@ -190,17 +161,20 @@ def _prove_one_error(code: StabilizerCode, error: type, subject: str) -> Stabili
 
 
 def _plan(
-    larger: PasteInput, smaller: PasteInput
-) -> tuple[PaddedCode, PaddedCode, PasteDiagnostics, StabilizerCode | None]:
-    """Both templates, every precondition, and the larger code's located
-    all-X/all-Z basis (None when it was not found or not looked for)."""
-    big = _as_padded(larger)
-    small = _as_padded(smaller)
-    checks = _one_error_checks(big.base, CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE)
-    checks += _one_error_checks(small.base, CHECK_SMALLER_VALID, CHECK_SMALLER_NONDEGENERATE)
+    larger: StabilizerCode, smaller: StabilizerCode
+) -> tuple[list[bool], PasteDiagnostics, StabilizerCode | None]:
+    """The larger template's placeholder flags, every precondition, and its
+    located all-X/all-Z basis (None when it was not found or not looked for)."""
+    big_flags = _placeholders(larger)
+    small_flags = _placeholders(smaller)
+    big = _base(larger, big_flags)
+    checks = _one_error_checks(big, CHECK_LARGER_VALID, CHECK_LARGER_NONDEGENERATE)
+    checks += _one_error_checks(
+        _base(smaller, small_flags), CHECK_SMALLER_VALID, CHECK_SMALLER_NONDEGENERATE
+    )
 
     located = None
-    if any(big.placeholder_flags[:2]):
+    if any(big_flags[:2]):
         checks.append(
             PasteCheck(
                 CHECK_XZ_ROWS,
@@ -209,7 +183,7 @@ def _plan(
             )
         )
     else:
-        located = locate_xz_generators(big.base)
+        located = locate_xz_generators(big)
         if located is None:
             checks.append(
                 PasteCheck(
@@ -219,15 +193,15 @@ def _plan(
                     "and all-Z products",
                 )
             )
-        elif located is big.base:
+        elif located is big:
             checks.append(PasteCheck(CHECK_XZ_ROWS, True, "rows 1 and 2 as given"))
         else:
             checks.append(
                 PasteCheck(CHECK_XZ_ROWS, True, "available after recombination")
             )
 
-    want = big.row_count - 2
-    have = small.row_count
+    want = larger.a - 2
+    have = smaller.a
     checks.append(
         PasteCheck(
             CHECK_GENERATOR_COUNT,
@@ -238,7 +212,7 @@ def _plan(
 
     overlap = [
         i + 3
-        for i, (bf, sf) in enumerate(zip(big.placeholder_flags[2:], small.placeholder_flags))
+        for i, (bf, sf) in enumerate(zip(big_flags[2:], small_flags))
         if bf and sf
     ]
     checks.append(
@@ -250,15 +224,15 @@ def _plan(
             else f"placeholder pairs placeholder at row(s) {overlap}",
         )
     )
-    return big, small, PasteDiagnostics(tuple(checks)), located
+    return big_flags, PasteDiagnostics(tuple(checks)), located
 
 
-def can_paste(larger: PasteInput, smaller: PasteInput) -> PasteDiagnostics:
+def can_paste(larger: StabilizerCode, smaller: StabilizerCode) -> PasteDiagnostics:
     """Run every pasting precondition without constructing the output."""
-    return _plan(larger, smaller)[2]
+    return _plan(larger, smaller)[1]
 
 
-def paste(larger: PasteInput, smaller: PasteInput) -> StabilizerCode:
+def paste(larger: StabilizerCode, smaller: StabilizerCode) -> StabilizerCode:
     """Paste a smaller nondegenerate code onto a larger one.
 
     Output rows: the larger code's all-X and all-Z rows extended by
@@ -267,13 +241,13 @@ def paste(larger: PasteInput, smaller: PasteInput) -> StabilizerCode:
     weight-1 syndromes checked before it is returned, so callers need not
     check it again.
     """
-    big, small, diagnostics, located = _plan(larger, smaller)
+    flags, diagnostics, located = _plan(larger, smaller)
     if not diagnostics.ok:
         raise PasteError(diagnostics)
-    # Placeholder rows are the identity, so this is big.rows when the basis is as given.
+    # Placeholder rows are the identity, so this is larger's rows when the basis is as given.
     basis = iter(located.generators)
-    filled = [identity(big.n) if flag else next(basis) for flag in big.placeholder_flags]
-    extension = (identity(small.n),) * 2 + small.rows
+    filled = [identity(larger.n) if flag else next(basis) for flag in flags]
+    extension = (identity(smaller.n),) * 2 + smaller.generators
     result = StabilizerCode([tensor(b, s) for b, s in zip(filled, extension)])
 
     return _prove_one_error(result, PasteVerificationError, "pasted code")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import gf2
 from .pauli import PauliOperator, identity, multiply, y_count
@@ -37,37 +37,32 @@ def _pack(p: PauliOperator) -> int:
 _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _check_rows(rows: Sequence[PauliOperator], n: int | None, noun: str) -> int:
-    """Qubit count of ``rows`` (``n``, else the first row's), checking that every
-    row acts on it with sign +1; ``noun`` names a row in the error messages."""
-    if n is None:
-        if not rows:
-            raise ValueError(f"qubit count required for an empty {noun} list")
-        n = rows[0].n
-    if n < 1:
-        raise ValueError(f"a {noun} list needs at least one qubit")
-    for i, row in enumerate(rows, start=1):
-        if row.n != n:
-            raise ValueError(f"{noun} {i} acts on {row.n} qubits, expected {n}")
-        if row.sign != 1:
-            raise ValueError(f"{noun} {i} must have sign +1")
-    return n
-
-
 class StabilizerCode:
     """Ordered generator list over a fixed qubit count.
 
     Construction checks only shape (equal lengths, +1 signs); the group
     invariants are checked by :func:`validate` so that broken inputs can be
-    reported rather than refused.  Instances are immutable; the packed
-    symplectic rows and the GF(2) elimination cache used for membership
-    tests are built eagerly, the validation report and the weight-<=1
-    syndrome keys on first use.
+    reported rather than refused.  A pasting template is such a list whose
+    identity rows are placeholders; with any, it fails :func:`validate`
+    (rank).  Instances are immutable; the packed symplectic rows and the
+    GF(2) elimination cache used for membership tests are built eagerly,
+    the validation report and the weight-<=1 syndrome keys on first use.
     """
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
         gens = tuple(generators)
-        self.n = _check_rows(gens, n, "generator")
+        if n is None:
+            if not gens:
+                raise ValueError("qubit count required for an empty generator list")
+            n = gens[0].n
+        if n < 1:
+            raise ValueError("a generator list needs at least one qubit")
+        for i, g in enumerate(gens, start=1):
+            if g.n != n:
+                raise ValueError(f"generator {i} acts on {g.n} qubits, expected {n}")
+            if g.sign != 1:
+                raise ValueError(f"generator {i} must have sign +1")
+        self.n = n
         self.generators = gens
         self._packed = tuple([_pack(g) for g in gens])
         self._elim = gf2.Eliminator(2 * self.n, self._packed)

@@ -18,7 +18,7 @@ from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import DEFAULT_MAX_AMPLITUDES, KLReport, _sparse_codewords
 from qpaste.pauli import PauliOperator, commutes, multiply, parse_pauli, y_count
 from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains
-from qpaste.pasting import PaddedCode, augment
+from qpaste.pasting import augment
 from qpaste.verification import DistanceReport, enumerate_errors
 from qpaste import gf2
 
@@ -313,7 +313,7 @@ def degenerate_code6() -> StabilizerCode:
     return repeat_qubit(builtin("code5"), 0)
 
 
-def paste_sample(rng: random.Random, index: int) -> tuple[PaddedCode, object]:
+def paste_sample(rng: random.Random, index: int) -> tuple[StabilizerCode, StabilizerCode]:
     """A precondition-satisfying (larger, smaller) pair, cycling scenarios.
 
     Mixes catalog codes, randomized members of the n=2^m family and
@@ -327,7 +327,7 @@ def paste_sample(rng: random.Random, index: int) -> tuple[PaddedCode, object]:
         larger = augment(hamming_class(3, mixer=random_mixer(rng, 3)), 1, "append")
         smaller = shuffled_qubits(rng, builtin("code5"))
     elif scenario == 2:
-        larger = PaddedCode(hamming_class(4, mixer=random_mixer(rng, 4)).generators)
+        larger = hamming_class(4, mixer=random_mixer(rng, 4))
         smaller = shuffled_qubits(rng, builtin("code5"))
     elif scenario == 3:
         larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1, "append")

@@ -18,7 +18,6 @@ from qpaste.pasting import (
     CHECK_GENERATOR_COUNT,
     CHECK_SMALLER_NONDEGENERATE,
     CHECK_XZ_ROWS,
-    PaddedCode,
     augment,
     can_paste,
     paste,
@@ -176,8 +175,7 @@ def test_criterion_5_closure_property():
         assert validate(out).ok
         report = verify_distance3(out)
         assert report.ok and not report.degenerate
-        small = smaller if isinstance(smaller, PaddedCode) else PaddedCode(smaller.generators)
-        assert out.n == larger.n + small.n and out.a == larger.row_count
+        assert out.n == larger.n + smaller.n and out.a == larger.a
 
         # syndrome prefix split: 01/10/11 on original qubits, 00 + the
         # smaller code's bits on the new qubits
@@ -198,10 +196,10 @@ def test_criterion_5_closure_property():
                 else:
                     assert bits[:2] == (0, 0)
                     small_err = PauliOperator(
-                        small.n, x_bit << (qubit - n_large), z_bit << (qubit - n_large)
+                        smaller.n, x_bit << (qubit - n_large), z_bit << (qubit - n_large)
                     )
                     assert bits[2:] == tuple(
-                        commutes(row, small_err) for row in small.rows
+                        commutes(row, small_err) for row in smaller.generators
                     )
         checked += 1
     elapsed = time.perf_counter() - start

@@ -400,6 +400,16 @@ def test_verify_rejects_a_later_byte_order_mark(source, monkeypatch, capsys, tmp
     )
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdin_is_decoded_as_a_file_is(encoding, monkeypatch, capsys, tmp_path):
+    # Standard input's own encoding is not used: its bytes are read as UTF-8.
+    data = _BOM + dumps(builtin("code5")).encode()
+    expected = _verify_bytes(monkeypatch, capsys, tmp_path, data, "file")
+    assert expected[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding))
+    assert (main(["verify", "-"]), *capsys.readouterr()) == expected
+
+
 def test_pipe_family_perfect_into_verify():
     # family perfect 2 | verify -  (through real processes)
     emit = subprocess.run(

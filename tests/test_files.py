@@ -6,31 +6,30 @@ import pytest
 
 from qpaste.catalog import builtin
 from qpaste.files import StabilizerFileError, dumps, loads
+from qpaste.pauli import identity
 from qpaste.pasting import augment
-from qpaste.stabilizer import StabilizerCode, validate
+from qpaste.stabilizer import validate
 
 
 def test_round_trip():
     text = dumps(builtin("code13"))
     again = loads(text)
-    assert again.pad_count == 0
-    assert again.base == builtin("code13")
+    assert again == builtin("code13")
     assert dumps(again) == text
 
 
 def test_comments_and_blank_lines():
     text = "# the five-qubit code\n\nXXZIZ\nZXXZI\n# middle note\nIZXXZ\nZIZXX\n\n"
-    padded = loads(text)
-    assert padded.pad_count == 0 and padded.base == builtin("code5")
+    assert loads(text) == builtin("code5")
 
 
 def test_placeholder_rows_detected():
     text = "XXZIZ\nZXXZI\nIZXXZ\nZIZXX\nIIIII\n"
     padded = loads(text)
-    assert padded.pad_count == 1 and padded.row_count == 5
-    assert padded.base == builtin("code5")
+    assert padded.a == 5 and padded.generators.count(identity(5)) == 1
+    assert padded.generators[:4] == builtin("code5").generators
     # The placeholder makes the rows dependent, so they are no code by themselves.
-    assert not validate(StabilizerCode(padded.rows)).ok
+    assert not validate(padded).ok
 
 
 def test_padded_round_trip():
@@ -50,8 +49,8 @@ def test_bad_character_rejected():
 
 def test_leading_byte_order_mark_skipped():
     text = dumps(builtin("code5"))
-    assert loads("\ufeff" + text).base == loads(text).base == builtin("code5")
-    assert loads("\ufeff# a comment\n" + text).base == builtin("code5")
+    assert loads("\ufeff" + text) == loads(text) == builtin("code5")
+    assert loads("\ufeff# a comment\n" + text) == builtin("code5")
 
 
 def test_only_one_leading_byte_order_mark_skipped():

@@ -17,11 +17,12 @@ from qpaste.pasting import (
     CHECK_SMALLER_NONDEGENERATE,
     CHECK_SMALLER_VALID,
     CHECK_XZ_ROWS,
-    PaddedCode,
     PasteError,
     PasteVerificationError,
     augment,
     can_paste,
+    _base,
+    _placeholders,
     locate_xz_generators,
     paste,
 )
@@ -41,19 +42,27 @@ from helpers import (
 
 def test_augment_append():
     padded = augment(builtin("code8"), 1, "append")
-    assert padded.row_count == 6 and padded.pad_count == 1
-    assert padded.rows[5] == identity(8)
-    assert padded.base == builtin("code8")
-    assert repr(padded) == "PaddedCode(n=8, rows=6, pad=1)"
+    assert isinstance(padded, StabilizerCode) and (padded.n, padded.a) == (8, 6)
+    assert padded.generators == builtin("code8").generators + (identity(8),)
+    assert _placeholders(padded) == [False] * 5 + [True]
+    assert _base(padded, _placeholders(padded)) == builtin("code8")
+    # The placeholder is a product of no rows, so the template is no code by itself.
+    assert [(v.kind, v.rows) for v in validate(padded).violations] == [("rank", (6,))]
 
 
 def test_augment_zero_and_prepend():
     unchanged = augment(builtin("code5"), 0, "append")
-    assert unchanged.pad_count == 0 and unchanged.rows == builtin("code5").generators
+    assert unchanged == builtin("code5") and not any(_placeholders(unchanged))
     two = augment(builtin("code5"), 2, "append")
-    assert two.row_count == 6 and two.pad_count == 2
+    assert two.a == 6 and _placeholders(two) == [False] * 4 + [True] * 2
     front = augment(builtin("code5"), 1, "prepend")
-    assert front.rows[0] == identity(5) and front.rows[1:] == builtin("code5").generators
+    assert front.generators == (identity(5),) + builtin("code5").generators
+
+
+def test_base_of_a_plain_code_is_the_code_itself():
+    # The same object, so the checks cached on it are not redone.
+    code = builtin("code13")
+    assert _base(code, _placeholders(code)) is code
 
 
 def test_augment_argument_checks():
@@ -261,10 +270,9 @@ def test_closure_property_samples():
         assert validate(out).ok
         report = verify_distance3(out)
         assert report.ok and not report.degenerate
-        small = smaller if isinstance(smaller, PaddedCode) else PaddedCode(smaller.generators)
-        assert out.n == larger.n + small.n
-        assert out.a == larger.row_count
-        _split_expectations(out, larger.n, small.rows)
+        assert out.n == larger.n + smaller.n
+        assert out.a == larger.a
+        _split_expectations(out, larger.n, smaller.generators)
 
 
 def test_paste_accepts_plain_codes_for_both_sides():

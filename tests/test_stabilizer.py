@@ -3,7 +3,6 @@ import random
 import pytest
 
 from qpaste.catalog import builtin, hamming_class
-from qpaste.pasting import PaddedCode
 from qpaste.pauli import (
     PauliOperator,
     format_pauli,
@@ -47,13 +46,6 @@ def test_constructor_checks():
             "a generator list needs at least one qubit",
             "generator 2 acts on 3 qubits, expected 2",
             "generator 2 must have sign +1",
-        ),
-        (
-            PaddedCode,
-            "qubit count required for an empty row list",
-            "a row list needs at least one qubit",
-            "row 2 acts on 3 qubits, expected 2",
-            "row 2 must have sign +1",
         ),
     ],
 )

@@ -7,7 +7,6 @@ import pytest
 
 import qpaste
 from qpaste import gf2
-from qpaste.pasting import PaddedCode
 from qpaste.stabilizer import StabilizerCode
 
 PUBLIC = [
@@ -16,7 +15,6 @@ PUBLIC = [
     "DistanceReport",
     "InvalidCodeError",
     "KLReport",
-    "PaddedCode",
     "PasteCheck",
     "PasteDiagnostics",
     "PasteError",
@@ -73,13 +71,14 @@ RETIRED = [
     "CodeParameters",
     "entries",
     "CatalogEntry",
+    "PaddedCode",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 42
     assert sorted(qpaste.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qpaste, name) is not None
@@ -94,7 +93,6 @@ def test_retired_name_does_not_import(name):
 def test_retired_members_are_gone():
     assert not hasattr(gf2, "rank") and not hasattr(gf2, "rref")
     assert not hasattr(StabilizerCode, "syndrome_table")
-    assert not hasattr(PaddedCode, "as_code")
     assert "tolerance" not in qpaste.KLReport._fields
 
 
