@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -237,6 +238,51 @@ def test_kl_flags_a_bad_code():
     assert not report.passed
     assert not verify_distance3(code).ok
 
+
+# Route 3 over the weight-<=1 errors: SHA-256 of c_matrix.tobytes(),
+# repr(max_deviation) and rank.  Every sum the check makes is an integer,
+# so these hold in any precision that keeps those sums exact.
+@pytest.mark.parametrize(
+    "make, digest, deviation, rank",
+    [
+        pytest.param(
+            lambda: builtin("code5"),
+            "286a39757f600aade898e0ad0d060da77a9924f1ab98d3360b5f86793142ee23", "0.0", 16,
+            id="code5",
+        ),
+        pytest.param(
+            lambda: builtin("code8"),
+            "9d9b3ed2ab93a1c653da09a5099878d5ee1dca5e65cc16d374a10abfa45bf71a", "0.0", 25,
+            id="code8",
+        ),
+        pytest.param(
+            lambda: builtin("code13"),
+            "f36e4ffe9826d9e84dbb21b80e0e3222d416970ad5762c4d0794a2bb21b30514", "0.0", 40,
+            id="code13",
+        ),
+        pytest.param(
+            shor_code9,
+            "9009246e01b66f8b9e03c3a4b2c5935493235d052e406e7c9d1935b77396c2b0", "0.0", 22,
+            id="shor9",
+        ),
+        pytest.param(
+            lambda: hamming_class(4),
+            "686e727c55dbeaafba7fca0797cdda9e7ed14606f4e83f65f7f27546825070e0", "0.0", 49,
+            id="hamming4",
+        ),
+        pytest.param(
+            lambda: StabilizerCode([parse_pauli("XXXX"), parse_pauli("ZZZZ")]),
+            "fa2c0eae6beef30d3b47848d2719ab1a1ea51502043aa25c5d481dd215730af1", "1.0", 13,
+            id="bad4",
+        ),
+    ],
+)
+def test_kl_outputs_are_pinned(make, digest, deviation, rank):
+    code = make()
+    report = kl_check(code, enumerate_errors(code.n, 1))
+    assert report.c_matrix.dtype == np.float64
+    assert hashlib.sha256(report.c_matrix.tobytes()).hexdigest() == digest
+    assert (repr(report.max_deviation), report.rank) == (deviation, rank)
 
 def test_kl_agrees_with_syndrome_route():
     rng = random.Random(43)
