@@ -25,8 +25,9 @@ sum (the diagonal sum of the same-image pairs, whose other cells hold
 exactly 0), one gather of those pairs' extremes on kept images and one
 |.| max off the diagonal.
 
-Every amplitude is 0 or +-1, so every product and sum is an integer, exact
-in float64 in any order of summation, and C and the deviations follow by
+Every amplitude is 0 or +-1, so every value built, product and sum is an
+integer up to 2^n, exact in float32 for n <= 24 (``_EXACT_AMPLITUDES``) in
+any order of summation, and C and the deviations follow in float64 by
 power-of-two divisions: a code passes when its deviation is exactly 0; any
 other deviation is at least 2^-n.  Work is O(m^2 2^n) in BLAS, with no 4^k
 term, plus O((n - k) 2^n) to build the codewords, as many generators at a
@@ -37,8 +38,8 @@ matrix C comes from one eigenvalue solve.
 
 This route is independent of the syndrome-level checks and is meant for
 cross-validation at small n; by default it refuses state vectors of more
-than 2^16 amplitudes (n > 16).  numpy is imported by the functions that
-use it, so importing the package does not load it.
+than 2^16 amplitudes (n > 16), and always more than 2^24.  numpy is
+imported where used, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ DEFAULT_MAX_AMPLITUDES = 1 << 16
 # Entries per chunk of amplitudes or Gram products.  Every n <= 10 code
 # builds its weight-<=1 amplitudes, at most 31 * 2^10 entries, in one chunk.
 _CHUNK = 1 << 16
+# float32 holds every integer up to 2^24, and every value kl_check builds or
+# sums is an integer up to 2^n: it refuses longer state vectors at any limit.
+_EXACT_AMPLITUDES = 1 << 24
 
 
 class CapExceededError(ValueError):
@@ -70,7 +74,7 @@ def _columns(ops: Sequence[PauliOperator]) -> tuple[np.ndarray, np.ndarray, np.n
 
     xs = np.array([p.x for p in ops], dtype=np.int64)
     zs = np.array([p.z for p in ops], dtype=np.int64)
-    signs = np.array([p.sign for p in ops], dtype=float)
+    signs = np.array([p.sign for p in ops], dtype=np.float32)
     return xs, zs, signs
 
 
@@ -115,7 +119,7 @@ def _sparse_codewords(
     0, in increasing order.  The generators' index maps and signs are built
     as many at a time as fit one chunk, so each of those arrays holds at
     most max(2^16, 2^n) entries.  Before any array is built, refuses a state
-    vector of 2^n amplitudes that is not within ``max_amplitudes``.
+    vector of 2^n amplitudes beyond ``max_amplitudes`` or ``_EXACT_AMPLITUDES``.
     """
     import numpy as np
 
@@ -125,6 +129,11 @@ def _sparse_codewords(
         raise CapExceededError(
             f"kl check refused: n={code.n} needs {dim} amplitudes per state "
             f"vector; the limit is {max_amplitudes}"
+        )
+    if dim > _EXACT_AMPLITUDES:
+        raise CapExceededError(
+            f"kl check refused: n={code.n} needs {dim} amplitudes per state vector; "
+            f"float32 sums are exact only up to {_EXACT_AMPLITUDES} (n <= 24)"
         )
     _require_valid(code)
     k = code.n - code.a
@@ -141,7 +150,7 @@ def _sparse_codewords(
             label = np.minimum(label, label[s])
     reps = np.flatnonzero(label == index)
     span = np.flatnonzero(label == 0)
-    v = np.zeros(dim)
+    v = np.zeros(dim, dtype=np.float32)
     v[reps] = 1.0
     for g in range(0, len(xs), per):
         part = slice(g, g + per)
@@ -166,7 +175,7 @@ def _sparse_codewords(
 class KLReport(NamedTuple):
     """Error-pair Gram structure of a code.
 
-    ``c_matrix`` holds C_ab averaged over the codeword diagonal;
+    ``c_matrix`` holds C_ab averaged over the codeword diagonal, in float64;
     ``max_deviation`` is the largest departure from C_ab * delta_ij over
     all (a, b, i, j).  Full rank of C identifies a nondegenerate code.
     """
@@ -223,14 +232,14 @@ def kl_check(
     reached[label[kept[:, None] ^ xs]] = True
     sources = np.flatnonzero(reached)
     # E_a's sign at t ^ span[j] is its sign at t times (-1)^popcount(span[j] & z_a).
-    span_signs = 1.0 - 2.0 * (np.bitwise_count(span & zs[:, None]) & 1)
+    span_signs = np.where(np.bitwise_count(span & zs[:, None]) & 1, np.float32(-1), np.float32(1))
     # Per batch of cosets, amplitudes (m |span| per coset) and Gram products
     # (m^2 per coset) stay within _CHUNK entries, or the batch is one coset.
     batch = max(1, _CHUNK // (m * max(len(span), m)))
-    total = np.zeros((m, m))
-    high = np.full(len(pa), -np.inf)
-    low = np.full(len(pa), np.inf)
-    off = np.zeros((m, m))
+    total = np.zeros((m, m), dtype=np.float32)
+    high = np.full(len(pa), -np.inf, dtype=np.float32)
+    low = np.full(len(pa), np.inf, dtype=np.float32)
+    off = np.zeros((m, m), dtype=np.float32)
     for b0 in range(0, len(sources), batch):
         # heads[t, a] = t ^ x_a, the index E_a pulls coset t's minimum from.
         heads, head_signs = _signed_permutations(xs, zs, signs, sources[b0 : b0 + batch, None])
@@ -251,6 +260,7 @@ def kl_check(
         np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
     # total, high, low and off hold integers |span| times the inner
     # products, so the divisions by 2^k and |span| below are exact.
+    total = total.astype(float)
     c_matrix = np.where(same, total, 0.0) / (dim_k * len(span))
     off[same] = 0.0
     # A diagonal cell that no coset reaches holds 0, |C_ab| away from C_ab.

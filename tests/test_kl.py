@@ -114,12 +114,40 @@ def test_codewords_cap(monkeypatch):
 
 @pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1, 0, 1 << 84])
 def test_limit_that_admits_nothing_refuses_first(monkeypatch, limit):
-    # perfect(3) has n = 85: only a finite limit of at least 2^85 admits it.
+    # perfect(3) has n = 85: a limit below 2^85, or one that is no finite
+    # number, refuses it with its own message before the float32 ceiling does.
     _refuse_to_build(monkeypatch)
     refusal = rf"n=85 needs {1 << 85} amplitudes .*the limit is {limit}$"
     with pytest.raises(CapExceededError, match=refusal):
         kl_check(perfect(3), iter(()), max_amplitudes=limit)
 
+
+
+def _code5_on(n):
+    return StabilizerCode([tensor(g, identity(n - 5)) for g in builtin("code5").generators])
+
+
+@pytest.mark.parametrize(
+    "make, n, limit",
+    [(lambda: perfect(3), 85, 1 << 86), (lambda: _code5_on(25), 25, 1 << 25)],
+    ids=["perfect3", "n25"],
+)
+def test_float32_ceiling_refuses_first(monkeypatch, make, n, limit):
+    # A limit that admits the state vector does not lift the 2^24 amplitudes
+    # within which float32 sums are exact.
+    _refuse_to_build(monkeypatch)
+    refusal = (
+        rf"^kl check refused: n={n} needs {1 << n} amplitudes per state vector; "
+        r"float32 sums are exact only up to 16777216 \(n <= 24\)$"
+    )
+    with pytest.raises(CapExceededError, match=refusal):
+        kl_check(make(), iter(()), max_amplitudes=limit)
+
+
+def test_float32_ceiling_admits_n24(monkeypatch):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(AssertionError, match="past its limit"):
+        kl_check(_code5_on(24), iter(()), max_amplitudes=1 << 24)
 
 def test_amplitudes_stream_in_chunks(monkeypatch):
     # Each batch of cosets builds at most _CHUNK amplitudes and Gram products;
