@@ -44,9 +44,10 @@ class StabilizerCode:
     invariants are checked by :func:`validate` so that broken inputs can be
     reported rather than refused.  A pasting template is such a list whose
     identity rows are placeholders; with any, it fails :func:`validate`
-    (rank).  Instances are immutable; the packed symplectic rows and the
-    GF(2) elimination cache used for membership tests are built eagerly,
-    the validation report and the weight-<=1 syndrome keys on first use.
+    (rank).  Instances are immutable; the packed symplectic rows are built
+    eagerly, the GF(2) elimination cache used for rank and membership
+    tests, the validation report and the weight-<=1 syndrome keys on first
+    use.
     """
 
     def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
@@ -65,11 +66,14 @@ class StabilizerCode:
         self.n = n
         self.generators = gens
         self._packed = tuple([_pack(g) for g in gens])
-        self._elim = gf2.Eliminator(2 * self.n, self._packed)
 
     @property
     def a(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def _elim(self) -> gf2.Eliminator:
+        return gf2.Eliminator(2 * self.n, self._packed)
 
     @cached_property
     def _syndrome_keys(self) -> list[int]:
