@@ -124,17 +124,12 @@ def _sparse_codewords(
     import numpy as np
 
     dim = 1 << code.n
+    refused = f"kl check refused: n={code.n} needs {dim} amplitudes per state vector"
     # Written so that a NaN, infinite or negative limit refuses too.
     if not dim <= max_amplitudes < math.inf:
-        raise CapExceededError(
-            f"kl check refused: n={code.n} needs {dim} amplitudes per state "
-            f"vector; the limit is {max_amplitudes}"
-        )
+        raise CapExceededError(f"{refused}; the limit is {max_amplitudes}")
     if dim > _EXACT_AMPLITUDES:
-        raise CapExceededError(
-            f"kl check refused: n={code.n} needs {dim} amplitudes per state vector; "
-            f"float32 sums are exact only up to {_EXACT_AMPLITUDES} (n <= 24)"
-        )
+        raise CapExceededError(f"{refused}; float32 sums are exact only up to 2^24 (n <= 24)")
     _require_valid(code)
     k = code.n - code.a
     index = np.arange(dim)

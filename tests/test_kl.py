@@ -138,7 +138,7 @@ def test_float32_ceiling_refuses_first(monkeypatch, make, n, limit):
     _refuse_to_build(monkeypatch)
     refusal = (
         rf"^kl check refused: n={n} needs {1 << n} amplitudes per state vector; "
-        r"float32 sums are exact only up to 16777216 \(n <= 24\)$"
+        r"float32 sums are exact only up to 2\^24 \(n <= 24\)$"
     )
     with pytest.raises(CapExceededError, match=refusal):
         kl_check(make(), iter(()), max_amplitudes=limit)
