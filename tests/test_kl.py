@@ -303,6 +303,20 @@ def test_kl_flags_a_bad_code():
             "fa2c0eae6beef30d3b47848d2719ab1a1ea51502043aa25c5d481dd215730af1", "1.0", 13,
             id="bad4",
         ),
+        # k = 0 and m = 7: one codeword; I and the two Z errors share one
+        # image, and the four X and Y errors another.
+        pytest.param(
+            lambda: StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")]),
+            "6299d1c971480248c9aafdd42816d58d3527ca883e462bb0049d8c24d3398b9f", "0.0", 4,
+            id="pair",
+        ),
+        # n = 10, a = 5: 32 cosets of a 32-element X-span, all kept and all
+        # in one batch; C has one off-diagonal pair, and the check fails.
+        pytest.param(
+            lambda: random_valid_code(random.Random(8), 10, 5),
+            "deaca38dea5b0c916e1d19120930005fdb5522d975069979b79ef14a1e9a6076", "1.0", 30,
+            id="random10.5",
+        ),
     ],
 )
 def test_kl_outputs_are_pinned(make, digest, deviation, rank):
