@@ -23,7 +23,9 @@ index and sign, one gather the signs of all m errors' E_a W, and one
 batched ``np.matmul`` the m x m restricted inner products, read with one
 sum (the diagonal sum of the same-image pairs, whose other cells hold
 exactly 0), one gather of those pairs' extremes on kept images and one
-|.| max off the diagonal.
+|.| max off the diagonal.  When one batch holds every live coset, as it
+usually does at n <= 10, those four reductions are the results; running
+values are combined only from the second batch on.
 
 Every amplitude is 0 or +-1, so every value built, product and sum is an
 integer up to 2^n, exact in float32 for n <= 24 (``_EXACT_AMPLITUDES``) in
@@ -44,6 +46,7 @@ imported where used, so importing the package does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -62,6 +65,9 @@ _CHUNK = 1 << 16
 # float32 holds every integer up to 2^24, and every value kl_check builds or
 # sums is an integer up to 2^n: it refuses longer state vectors at any limit.
 _EXACT_AMPLITUDES = 1 << 24
+# The error sets kept, least recently used dropped first: enumerate_errors
+# keeps that many tuples, and kl_check the arrays read from as many.
+_ERROR_SETS_KEPT = 8
 
 
 class CapExceededError(ValueError):
@@ -76,6 +82,28 @@ def _columns(ops: Sequence[PauliOperator]) -> tuple[np.ndarray, np.ndarray, np.n
     zs = np.array([p.z for p in ops], dtype=np.int64)
     signs = np.array([p.sign for p in ops], dtype=np.float32)
     return xs, zs, signs
+
+
+@functools.lru_cache(maxsize=_ERROR_SETS_KEPT)
+def _error_columns(
+    members: tuple[PauliOperator, ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_columns`` of a nonempty error set on n qubits, read once per set.
+
+    Memoised on the tuple of errors and n, so each call with an equal
+    tuple returns the same three arrays; they are read-only, as every
+    caller shares them.  An empty set or an error on other than n qubits
+    raises ValueError, which is not memoised.
+    """
+    if not members:
+        raise ValueError("need at least one error operator")
+    for e in members:
+        if e.n != n:
+            raise ValueError(f"error acts on {e.n} qubits, code has {n}")
+    columns = _columns(members)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _signed_permutations(
@@ -137,19 +165,27 @@ def _sparse_codewords(
     # Index maps and coefficients for as many generators at a time as fit
     # one chunk: all of them at n <= 10, one at a time from n = 16.
     per = max(1, _CHUNK // dim)
+    parts = [slice(g, g + per) for g in range(0, len(xs), per)]
+
+    def maps(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        return _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
+
+    # When one chunk holds every generator, its index maps serve both the
+    # labels and the projection; with more chunks the projection builds
+    # each chunk's maps again, as holding them all would not fit one chunk.
+    whole = maps(parts[0]) if len(parts) == 1 else None
     # Label each index by the smallest member of its coset: the minimum over
     # c ^ span(x_1..x_j) is the smaller of two such minima over span(x_1..x_j-1).
     label = index
-    for g in range(0, len(xs), per):
-        for s in index ^ xs[g : g + per, None]:
+    for part in parts:
+        for s in whole[0] if whole else index ^ xs[part, None]:
             label = np.minimum(label, label[s])
-    reps = np.flatnonzero(label == index)
-    span = np.flatnonzero(label == 0)
+    reps = (label == index).nonzero()[0]
+    span = (label == 0).nonzero()[0]
     v = np.zeros(dim, dtype=np.float32)
     v[reps] = 1.0
-    for g in range(0, len(xs), per):
-        part = slice(g, g + per)
-        src, coeff = _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
+    for part in parts:
+        src, coeff = whole or maps(part)
         for s, c in zip(src, coeff):
             v += c * v[s]
     kept = reps[v[reps] != 0]
@@ -159,7 +195,7 @@ def _sparse_codewords(
             "the generator set is inconsistent"
         )
     value = np.sign(v)
-    if not np.array_equal(v, value * ((1 << code.a) // len(span))):
+    if not (v == value * ((1 << code.a) // len(span))).all():
         raise RuntimeError(
             "projector produced an amplitude of magnitude other than 0 and "
             f"2^{code.a}/{len(span)}; the generator set is inconsistent"
@@ -197,48 +233,40 @@ def kl_check(
     state vector; it and the code are checked before ``errors`` is read, so
     a refused check never iterates it.
 
-    The errors' bits and signs are read once, into three arrays.  Work is
-    O(m^2 2^n) and memory O(chunk + 2^n + m 2^k); no 4^k Gram block is
-    ever formed.  ``rank`` counts the eigenvalues of C, from one symmetric
-    eigenvalue solve, whose magnitude exceeds ``np.linalg.matrix_rank``'s
-    default threshold.
+    The errors' bits and signs are read once per error set, into three
+    read-only arrays kept for the last few sets, so a check of a set it has
+    seen reads none of them (a list or iterator equal to a seen tuple is
+    the same set).  Work is O(m^2 2^n) and memory O(chunk + 2^n + m 2^k);
+    no 4^k Gram block is ever formed.  ``rank`` counts the eigenvalues of
+    C, from one symmetric eigenvalue solve, whose magnitude exceeds
+    ``np.linalg.matrix_rank``'s default threshold.
     """
     import numpy as np
 
     label, value, kept, span = _sparse_codewords(code, max_amplitudes)
-    members = tuple(errors)
-    if not members:
-        raise ValueError("need at least one error operator")
-    for e in members:
-        if e.n != code.n:
-            raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
+    xs, zs, signs = _error_columns(tuple(errors), code.n)
     dim_k = len(kept)
-    m = len(members)
+    m = len(xs)
     # E_a maps the coset named t onto the coset of t ^ x_a.  That coset is
     # the one x_b maps t onto for every t or for none, as the pair property
     # x_a ^ x_b in span decides; lead[a] names the coset of x_a itself.
-    xs, zs, signs = _columns(members)
     lead = label[xs]
     same = lead[:, None] == lead[None, :]
-    pa, pb = np.nonzero(same)
+    pa, pb = same.nonzero()
     # The cosets some error maps onto a kept coset: E_a W vanishes on the
     # rest.  A mask sorts them without np.unique, which imports numpy.ma.
     reached = np.zeros(len(label), dtype=bool)
     reached[label[kept[:, None] ^ xs]] = True
-    sources = np.flatnonzero(reached)
+    sources = reached.nonzero()[0]
     # E_a's sign at t ^ span[j] is its sign at t times (-1)^popcount(span[j] & z_a).
     span_signs = np.where(np.bitwise_count(span & zs[:, None]) & 1, np.float32(-1), np.float32(1))
     # Per batch of cosets, amplitudes (m |span| per coset) and Gram products
     # (m^2 per coset) stay within _CHUNK entries, or the batch is one coset.
     batch = max(1, _CHUNK // (m * max(len(span), m)))
-    total = np.zeros((m, m), dtype=np.float32)
-    high = np.full(len(pa), -np.inf, dtype=np.float32)
-    low = np.full(len(pa), np.inf, dtype=np.float32)
-    off = np.zeros((m, m), dtype=np.float32)
     for b0 in range(0, len(sources), batch):
         # heads[t, a] = t ^ x_a, the index E_a pulls coset t's minimum from.
         heads, head_signs = _signed_permutations(xs, zs, signs, sources[b0 : b0 + batch, None])
-        amps = np.take(value, heads[:, :, None] ^ span)  # amps[t, a]: E_a W's signs on coset t
+        amps = value.take(heads[:, :, None] ^ span)  # amps[t, a]: E_a W's signs on coset t
         amps *= head_signs[:, :, None]
         amps *= span_signs
         gram = np.matmul(amps, amps.transpose(0, 2, 1))
@@ -247,12 +275,26 @@ def kl_check(
         # exactly 0 where it is discarded; any other pair's cells are all
         # off the diagonal.  So the plain sum is the diagonal sum, and |gram|
         # is read only for the other pairs, at the end.  NaN marks the
-        # discarded images, which fmax and fmin pass over.
-        total += gram.sum(axis=0)
+        # discarded images, which fmax and fmin pass over: a pair with no
+        # kept image in the batch reduces to -inf and inf.
         diagonal = np.where((value[heads] != 0)[:, pa], gram[:, pa, pb], np.nan)
-        np.fmax(high, np.fmax.reduce(diagonal, axis=0), out=high)
-        np.fmin(low, np.fmin.reduce(diagonal, axis=0), out=low)
-        np.maximum(off, np.abs(gram, out=gram).max(axis=0), out=off)
+        reduced = (
+            gram.sum(axis=0),
+            np.fmax.reduce(diagonal, axis=0, initial=-np.inf),
+            np.fmin.reduce(diagonal, axis=0, initial=np.inf),
+            np.abs(gram, out=gram).max(axis=0),
+        )
+        # At n <= 10 one batch usually holds every live coset: its
+        # reductions are then the results, and only a later batch combines
+        # them with running values.
+        if b0:
+            reduced = (
+                total + reduced[0],
+                np.fmax(high, reduced[1]),
+                np.fmin(low, reduced[2]),
+                np.maximum(off, reduced[3]),
+            )
+        total, high, low, off = reduced
     # total, high, low and off hold integers |span| times the inner
     # products, so the divisions by 2^k and |span| below are exact.
     total = total.astype(float)

@@ -14,15 +14,12 @@ import functools
 from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
-from .kl import kl_check
+from .kl import _ERROR_SETS_KEPT, kl_check
 from .pauli import _FACTOR_BITS, PauliOperator
 from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid, validate
 
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
-# The error sets enumerate_errors keeps, least recently used dropped first.
-# Its cache is typed, so a float length fails as it does uncached.
-_ERROR_SETS_KEPT = 8
 
 
 def _operator(n: int, positions: tuple[int, ...], factors: tuple[int, ...]) -> PauliOperator:
@@ -54,6 +51,7 @@ def iter_weight_errors(n: int, w: int) -> Iterator[PauliOperator]:
             yield _operator(n, positions, factors)
 
 
+# The cache is typed, so a float length fails as it does uncached.
 @functools.lru_cache(maxsize=_ERROR_SETS_KEPT, typed=True)
 def enumerate_errors(n: int, t: int) -> tuple[PauliOperator, ...]:
     """Deterministic enumeration of all errors of weight at most ``t``.

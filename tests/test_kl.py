@@ -326,6 +326,46 @@ def test_kl_outputs_are_pinned(make, digest, deviation, rank):
     assert hashlib.sha256(report.c_matrix.tobytes()).hexdigest() == digest
     assert (repr(report.max_deviation), report.rank) == (deviation, rank)
 
+
+def test_error_set_read_once(monkeypatch):
+    # Checking one error set again reads none of its bits again, and the
+    # arrays kept for it cannot be written.
+    reads = []
+    columns = kl._columns
+
+    def counting_columns(ops):
+        reads.append(len(ops))
+        return columns(ops)
+
+    monkeypatch.setattr(kl, "_columns", counting_columns)
+    # A set no other test checks: code8's weight-1 errors without the identity.
+    errors = enumerate_errors(8, 1)[1:]
+    for _ in range(2):
+        assert_exact(kl_check(builtin("code8"), errors))
+    assert reads.count(len(errors)) == 1
+    for column in kl._error_columns(errors, 8):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
+def test_error_sets_are_told_apart():
+    # Shor's code is degenerate, so C has off-diagonal entries and a
+    # reordered error set reorders them; the equal sets give equal reports.
+    code = shor_code9()
+    errors = enumerate_errors(9, 1)
+    base = kl_check(code, errors)
+    order = list(range(len(errors)))
+    random.Random(47).shuffle(order)
+    reordered = kl_check(code, tuple(errors[i] for i in order))
+    assert np.array_equal(reordered.c_matrix, base.c_matrix[np.ix_(order, order)])
+    assert not np.array_equal(reordered.c_matrix, base.c_matrix)
+    assert (reordered.max_deviation, reordered.rank) == (0.0, 22)
+    for equal in (list(errors), iter(errors)):
+        report = kl_check(code, equal)
+        assert report.c_matrix.tobytes() == base.c_matrix.tobytes()
+        assert (report.max_deviation, report.rank) == (base.max_deviation, base.rank)
+
+
 def test_kl_agrees_with_syndrome_route():
     rng = random.Random(43)
     codes = [
