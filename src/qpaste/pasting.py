@@ -175,30 +175,14 @@ def _plan(
 
     located = None
     if any(big_flags[:2]):
-        checks.append(
-            PasteCheck(
-                CHECK_XZ_ROWS,
-                False,
-                "placeholder occupies row 1 or 2 of the larger template",
-            )
-        )
+        detail = "placeholder occupies row 1 or 2 of the larger template"
+    elif (located := locate_xz_generators(big)) is None:
+        detail = "the larger code's group does not contain both the all-X and all-Z products"
+    elif located is big:
+        detail = "rows 1 and 2 as given"
     else:
-        located = locate_xz_generators(big)
-        if located is None:
-            checks.append(
-                PasteCheck(
-                    CHECK_XZ_ROWS,
-                    False,
-                    "the larger code's group does not contain both the all-X "
-                    "and all-Z products",
-                )
-            )
-        elif located is big:
-            checks.append(PasteCheck(CHECK_XZ_ROWS, True, "rows 1 and 2 as given"))
-        else:
-            checks.append(
-                PasteCheck(CHECK_XZ_ROWS, True, "available after recombination")
-            )
+        detail = "available after recombination"
+    checks.append(PasteCheck(CHECK_XZ_ROWS, located is not None, detail))
 
     want = larger.a - 2
     have = smaller.a

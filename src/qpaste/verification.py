@@ -4,7 +4,7 @@ Error enumeration order is part of the public contract: weight ascending,
 then acting positions ascending, then factors in the order X < Y < Z, the
 identity first.  Witness pairs and reports are therefore reproducible.
 ``_operator`` alone builds the operators in that order, for every weight.
-The bound arithmetic is exact big-integer throughout.
+The quantum Hamming bound is decided exactly from ``best_k``'s closed form.
 """
 
 from __future__ import annotations
@@ -169,23 +169,18 @@ class BoundStatus(enum.Enum):
 
 
 def hamming_bound(n: int, k: int) -> BoundStatus:
-    """Compare (3n+1) * 2^k against 2^n with exact integers.
+    """Compare (3n+1) * 2^k against 2^n, exactly, through ``best_k``.
 
-    SATURATED (equality) identifies a perfect one-error code.  The test is
-    3n+1 against 2^(n-k), which is built only when it has at most as many
-    bits as 3n+1; a longer power of two is larger, so memory stays O(log n).
+    SATURATED (equality) identifies a perfect one-error code: k is
+    ``best_k(n)`` and 3n+1 is a power of two.  No number above 3n+1 is
+    built, so 2^n never is.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    best = best_k(n)
     if not 0 <= k <= n:
         raise ValueError(f"encoded qubit count {k} out of range for n={n}")
-    lhs = 3 * n + 1
-    if n - k > lhs.bit_length():
-        return BoundStatus.SATISFIED
-    rhs = 1 << (n - k)
-    if lhs > rhs:
+    if best is None or k > best:
         return BoundStatus.VIOLATED
-    if lhs == rhs:
+    if k == best and (3 * n + 1) & (3 * n) == 0:
         return BoundStatus.SATURATED
     return BoundStatus.SATISFIED
 

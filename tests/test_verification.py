@@ -241,16 +241,29 @@ def test_bound_range_checks():
         best_k(0)
 
 
+def literal_bound(n, k):
+    lhs, rhs = (3 * n + 1) << k, 1 << n
+    if lhs > rhs:
+        return BoundStatus.VIOLATED
+    return BoundStatus.SATURATED if lhs == rhs else BoundStatus.SATISFIED
+
+
 def test_hamming_bound_matches_big_integer_formula():
     for n in range(1, 301):
         for k in range(n + 1):
-            lhs, rhs = (3 * n + 1) << k, 1 << n
-            want = (
-                BoundStatus.VIOLATED
-                if lhs > rhs
-                else BoundStatus.SATURATED if lhs == rhs else BoundStatus.SATISFIED
-            )
-            assert hamming_bound(n, k) is want, (n, k)
+            assert hamming_bound(n, k) is literal_bound(n, k), (n, k)
+
+
+def test_hamming_bound_matches_big_integer_formula_where_best_k_steps():
+    # best_k steps by one where 3n crosses a power of two, at n = ceil(2^t / 3);
+    # the perfect lengths are the n where the bound saturates.
+    steps = {-(-(1 << t) // 3) + d for t in range(2, 25) for d in (-1, 0, 1)}
+    lengths = steps | {perfect_length(j) for j in range(1, 12)}
+    for n in sorted(lengths):
+        best = best_k(n)
+        ks = {0, n} if best is None else {0, best - 1, best, best + 1, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            assert hamming_bound(n, k) is literal_bound(n, k), (n, k)
 
 
 def test_hamming_bound_builds_no_power_of_two_near_2_to_n():
