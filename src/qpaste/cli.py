@@ -17,7 +17,7 @@ from pathlib import Path
 from . import files
 from .catalog import _BUILTINS, builtin, hamming_class, perfect
 from .pasting import PasteError, PasteVerificationError, _placeholders, augment, paste
-from .pauli import PauliParseError, format_pauli
+from .pauli import format_pauli
 from .verification import _perfect_tag, best_k, check_code, enumerate_errors, hamming_bound
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (files.StabilizerFileError, PauliParseError, OSError, UnicodeDecodeError) as exc:
+    except (files.StabilizerFileError, OSError) as exc:
         _fail(str(exc))
         return EXIT_IO
     except PasteError as exc:
@@ -238,7 +238,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _fail(str(exc))
         return EXIT_PRECONDITION
-
-
-if __name__ == "__main__":
-    sys.exit(main())
