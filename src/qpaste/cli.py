@@ -78,7 +78,7 @@ def cmd_paste(args: argparse.Namespace) -> int:
     larger = files.loads(_read_text(args.larger))
     smaller = files.loads(_read_text(args.smaller))
     if args.augment:
-        larger = augment(larger, args.augment, "append")
+        larger = augment(larger, args.augment)
     result = paste(larger, smaller)
     _write_text(args.out, files.dumps(result))
     k = result.n - result.a

@@ -46,7 +46,6 @@ imported where used, so importing the package does not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -65,45 +64,28 @@ _CHUNK = 1 << 16
 # float32 holds every integer up to 2^24, and every value kl_check builds or
 # sums is an integer up to 2^n: it refuses longer state vectors at any limit.
 _EXACT_AMPLITUDES = 1 << 24
-# The error sets kept, least recently used dropped first: enumerate_errors
-# keeps that many tuples, and kl_check the arrays read from as many.
-_ERROR_SETS_KEPT = 8
 
 
 class CapExceededError(ValueError):
     """Dense-statevector work refused because a state vector would be too long."""
 
 
-def _columns(ops: Sequence[PauliOperator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each operator's x bits, z bits and sign as three arrays."""
+def _columns(ops: Sequence[PauliOperator], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each operator's x bits, z bits and sign as three arrays.
+
+    The first operator that acts on other than n qubits raises ValueError.
+    """
     import numpy as np
 
-    xs = np.array([p.x for p in ops], dtype=np.int64)
-    zs = np.array([p.z for p in ops], dtype=np.int64)
-    signs = np.array([p.sign for p in ops], dtype=np.float32)
-    return xs, zs, signs
-
-
-@functools.lru_cache(maxsize=_ERROR_SETS_KEPT)
-def _error_columns(
-    members: tuple[PauliOperator, ...], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_columns`` of a nonempty error set on n qubits, read once per set.
-
-    Memoised on the tuple of errors and n, so each call with an equal
-    tuple returns the same three arrays; they are read-only, as every
-    caller shares them.  An empty set or an error on other than n qubits
-    raises ValueError, which is not memoised.
-    """
-    if not members:
-        raise ValueError("need at least one error operator")
-    for e in members:
-        if e.n != n:
-            raise ValueError(f"error acts on {e.n} qubits, code has {n}")
-    columns = _columns(members)
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    lengths, xs, zs, signs = zip(*ops) if ops else ((),) * 4
+    for length in lengths:
+        if length != n:
+            raise ValueError(f"error acts on {length} qubits, code has {n}")
+    return (
+        np.array(xs, dtype=np.int64),
+        np.array(zs, dtype=np.int64),
+        np.array(signs, dtype=np.float32),
+    )
 
 
 def _signed_permutations(
@@ -161,7 +143,7 @@ def _sparse_codewords(
     _require_valid(code)
     k = code.n - code.a
     index = np.arange(dim)
-    xs, zs, signs = _columns(code.generators)
+    xs, zs, signs = _columns(code.generators, code.n)
     # Index maps and coefficients for as many generators at a time as fit
     # one chunk: all of them at n <= 10, one at a time from n = 16.
     per = max(1, _CHUNK // dim)
@@ -231,20 +213,21 @@ def kl_check(
     sums are exact (see the module docstring), so ``max_deviation`` is 0.0
     on a passing code.  ``max_amplitudes`` bounds the 2^n entries of a
     state vector; it and the code are checked before ``errors`` is read, so
-    a refused check never iterates it.
+    a refused check never iterates it.  An empty error set, or an error on
+    other than n qubits, raises ValueError.
 
-    The errors' bits and signs are read once per error set, into three
-    read-only arrays kept for the last few sets, so a check of a set it has
-    seen reads none of them (a list or iterator equal to a seen tuple is
-    the same set).  Work is O(m^2 2^n) and memory O(chunk + 2^n + m 2^k);
-    no 4^k Gram block is ever formed.  ``rank`` counts the eigenvalues of
-    C, from one symmetric eigenvalue solve, whose magnitude exceeds
+    Work is O(m^2 2^n) and memory O(chunk + 2^n + m 2^k); no 4^k Gram
+    block is ever formed.  ``rank`` counts the eigenvalues of C, from one
+    symmetric eigenvalue solve, whose magnitude exceeds
     ``np.linalg.matrix_rank``'s default threshold.
     """
     import numpy as np
 
     label, value, kept, span = _sparse_codewords(code, max_amplitudes)
-    xs, zs, signs = _error_columns(tuple(errors), code.n)
+    errors = tuple(errors)
+    if not errors:
+        raise ValueError("need at least one error operator")
+    xs, zs, signs = _columns(errors, code.n)
     dim_k = len(kept)
     m = len(xs)
     # E_a maps the coset named t onto the coset of t ^ x_a.  That coset is

@@ -47,20 +47,17 @@ def _base(code: StabilizerCode, flags: list[bool]) -> StabilizerCode:
     return StabilizerCode([g for g, flag in zip(code.generators, flags) if not flag], code.n)
 
 
-def augment(code: StabilizerCode, count: int, where: str = "append") -> StabilizerCode:
-    """Add ``count`` identity placeholder rows at one end of the row list.
+def augment(code: StabilizerCode, count: int) -> StabilizerCode:
+    """Append ``count`` identity placeholder rows after the existing rows.
 
-    ``where`` is "append" (after the existing rows, the usual choice for
-    the larger code) or "prepend" (before them, for padding a smaller
-    code so that the leading rows of the larger one stay unextended).
+    A template padded in front, so that the leading rows of the larger code
+    stay unextended, is the code with leading identity rows:
+    ``StabilizerCode((identity(n),) + code.generators, n)``, or a file whose
+    first row is all I.
     """
     if count < 0:
         raise ValueError("placeholder count must be non-negative")
-    if where not in ("append", "prepend"):
-        raise ValueError(f"unknown placement {where!r}, use 'append' or 'prepend'")
-    pads = (identity(code.n),) * count
-    rows = code.generators + pads if where == "append" else pads + code.generators
-    return StabilizerCode(rows, code.n)
+    return StabilizerCode(code.generators + (identity(code.n),) * count, code.n)
 
 
 def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:

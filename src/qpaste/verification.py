@@ -14,10 +14,12 @@ import functools
 from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
-from .kl import _ERROR_SETS_KEPT, kl_check
+from .kl import kl_check
 from .pauli import _FACTOR_BITS, PauliOperator
 from .stabilizer import StabilizerCode, _in_span, _pack, _require_valid, validate
 
+# The error sets enumerate_errors keeps, least recently used dropped first.
+_ERROR_SETS_KEPT = 8
 # (x, z) bits of factor index 0, 1, 2: X < Y < Z, as in the syndrome table.
 _XYZ_BITS = tuple(_FACTOR_BITS[f] for f in "XYZ")
 

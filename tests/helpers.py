@@ -16,7 +16,7 @@ import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import DEFAULT_MAX_AMPLITUDES, KLReport, _sparse_codewords
-from qpaste.pauli import PauliOperator, commutes, multiply, parse_pauli, y_count
+from qpaste.pauli import PauliOperator, commutes, identity, multiply, parse_pauli, y_count
 from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains
 from qpaste.pasting import augment
 from qpaste.verification import DistanceReport, enumerate_errors
@@ -321,23 +321,25 @@ def paste_sample(rng: random.Random, index: int) -> tuple[StabilizerCode, Stabil
     """
     scenario = index % 6
     if scenario == 0:
-        larger = augment(builtin("code8"), 1, "append")
+        larger = augment(builtin("code8"), 1)
         smaller = shuffled_qubits(rng, builtin("code5"))
     elif scenario == 1:
-        larger = augment(hamming_class(3, mixer=random_mixer(rng, 3)), 1, "append")
+        larger = augment(hamming_class(3, mixer=random_mixer(rng, 3)), 1)
         smaller = shuffled_qubits(rng, builtin("code5"))
     elif scenario == 2:
         larger = hamming_class(4, mixer=random_mixer(rng, 4))
         smaller = shuffled_qubits(rng, builtin("code5"))
     elif scenario == 3:
-        larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1, "append")
+        larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1)
         smaller = hamming_class(3, mixer=random_mixer(rng, 3))
     elif scenario == 4:
-        larger = augment(shuffled_qubits(rng, builtin("code8")), 2, "append")
+        larger = augment(shuffled_qubits(rng, builtin("code8")), 2)
         smaller = shuffled_qubits(rng, builtin("code8"))
     else:
-        larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1, "append")
-        smaller = augment(shuffled_qubits(rng, builtin("code5")), 1, "prepend")
+        larger = augment(hamming_class(4, mixer=random_mixer(rng, 4)), 1)
+        # A leading identity row pads the smaller code in front.
+        code5 = shuffled_qubits(rng, builtin("code5"))
+        smaller = StabilizerCode((identity(5),) + code5.generators, 5)
     return larger, smaller
 
 

@@ -51,7 +51,7 @@ def _report(criterion, ok, detail):
 
 
 def test_criterion_1_golden_13_qubit_reproduction():
-    larger = augment(builtin("code8"), 1, "append")
+    larger = augment(builtin("code8"), 1)
     smaller = builtin("code5")
     paste(larger, smaller)  # warm caches before timing
     start = time.perf_counter()
@@ -211,10 +211,10 @@ def test_criterion_6_negative_preconditions():
     diag_a = can_paste(builtin("code13"), builtin("code5"))
     case_a = diag_a.failed_names() == (CHECK_XZ_ROWS,)
 
-    diag_b = can_paste(augment(builtin("code8"), 2, "append"), builtin("code5"))
+    diag_b = can_paste(augment(builtin("code8"), 2), builtin("code5"))
     case_b = diag_b.failed_names() == (CHECK_GENERATOR_COUNT,)
 
-    diag_c = can_paste(augment(builtin("code8"), 2, "append"), degenerate_code6())
+    diag_c = can_paste(augment(builtin("code8"), 2), degenerate_code6())
     case_c = diag_c.failed_names() == (CHECK_SMALLER_NONDEGENERATE,)
 
     distinct = len({CHECK_XZ_ROWS, CHECK_GENERATOR_COUNT, CHECK_SMALLER_NONDEGENERATE}) == 3

@@ -33,7 +33,7 @@ def test_placeholder_rows_detected():
 
 
 def test_padded_round_trip():
-    padded = augment(builtin("code8"), 1, "append")
+    padded = augment(builtin("code8"), 1)
     assert dumps(loads(dumps(padded))) == dumps(padded)
 
 

@@ -35,7 +35,7 @@ def test_apply_pauli_matches_dense():
         n = rng.randint(1, 5)
         p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
         vec = np.array([rng.uniform(-1, 1) for _ in range(1 << n)])
-        src, coeff = _signed_permutations(*_columns([p]), np.arange(1 << n)[:, None])
+        src, coeff = _signed_permutations(*_columns([p], n), np.arange(1 << n)[:, None])
         assert np.allclose(coeff[:, 0] * vec[src[:, 0]], dense(format_pauli(p)) @ vec)
 
 
@@ -66,7 +66,7 @@ def test_codewords_code8():
     code = builtin("code8")
     basis = scattered_codewords(code)
     assert basis.shape == (8, 256)
-    src, coeff = _signed_permutations(*_columns(code.generators), np.arange(256)[:, None])
+    src, coeff = _signed_permutations(*_columns(code.generators, 8), np.arange(256)[:, None])
     for s, c in zip(src.T, coeff.T):
         assert np.allclose(c * basis[:, s], basis, atol=1e-12)
 
@@ -327,30 +327,52 @@ def test_kl_outputs_are_pinned(make, digest, deviation, rank):
     assert (repr(report.max_deviation), report.rank) == (deviation, rank)
 
 
-def test_error_set_read_once(monkeypatch):
-    # Checking one error set again reads none of its bits again, and the
-    # arrays kept for it cannot be written.
-    reads = []
-    columns = kl._columns
+@pytest.mark.parametrize("make", [lambda: builtin("code8"), shor_code9], ids=["code8", "shor9"])
+def test_error_set_forms_give_equal_reports(make):
+    # A tuple, a list and a one-shot generator of the same errors are one set.
+    code = make()
+    errors = enumerate_errors(code.n, 1)
+    reports = [kl_check(code, form) for form in (errors, list(errors), (e for e in errors))]
+    for report in reports:
+        assert report.c_matrix.tobytes() == reports[0].c_matrix.tobytes()
+        assert (report.max_deviation, report.rank) == (reports[0].max_deviation, reports[0].rank)
 
-    def counting_columns(ops):
-        reads.append(len(ops))
-        return columns(ops)
 
-    monkeypatch.setattr(kl, "_columns", counting_columns)
-    # A set no other test checks: code8's weight-1 errors without the identity.
-    errors = enumerate_errors(8, 1)[1:]
-    for _ in range(2):
-        assert_exact(kl_check(builtin("code8"), errors))
-    assert reads.count(len(errors)) == 1
-    for column in kl._error_columns(errors, 8):
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 0
+@pytest.mark.parametrize("one_shot", [False, True], ids=["tuple", "generator"])
+@pytest.mark.parametrize(
+    "errors, message",
+    [
+        ((), "need at least one error operator"),
+        ((identity(7),), "error acts on 7 qubits, code has 8"),
+        # The first offender is named.
+        ((identity(8), identity(6), identity(7)), "error acts on 6 qubits, code has 8"),
+    ],
+    ids=["empty", "wrong-length", "first-offender"],
+)
+def test_error_set_refusals(errors, message, one_shot):
+    with pytest.raises(ValueError) as excinfo:
+        kl_check(builtin("code8"), (e for e in errors) if one_shot else errors)
+    assert str(excinfo.value) == message
+
+
+def test_refused_check_never_advances_errors():
+    advanced = []
+
+    def errors():
+        advanced.append(True)
+        yield from enumerate_errors(21, 1)
+
+    given = errors()
+    with pytest.raises(CapExceededError):
+        kl_check(perfect(2), given)
+    assert advanced == []
+    # The generator was never started, so it still yields its first error.
+    assert next(given) == identity(21)
 
 
 def test_error_sets_are_told_apart():
     # Shor's code is degenerate, so C has off-diagonal entries and a
-    # reordered error set reorders them; the equal sets give equal reports.
+    # reordered error set reorders them.
     code = shor_code9()
     errors = enumerate_errors(9, 1)
     base = kl_check(code, errors)
@@ -360,10 +382,6 @@ def test_error_sets_are_told_apart():
     assert np.array_equal(reordered.c_matrix, base.c_matrix[np.ix_(order, order)])
     assert not np.array_equal(reordered.c_matrix, base.c_matrix)
     assert (reordered.max_deviation, reordered.rank) == (0.0, 22)
-    for equal in (list(errors), iter(errors)):
-        report = kl_check(code, equal)
-        assert report.c_matrix.tobytes() == base.c_matrix.tobytes()
-        assert (report.max_deviation, report.rank) == (base.max_deviation, base.rank)
 
 
 def test_kl_agrees_with_syndrome_route():

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from qpaste.catalog import builtin, hamming_class
+from qpaste.files import dumps
 from qpaste.pauli import (
     PauliOperator,
     commutes,
@@ -41,7 +43,7 @@ from helpers import (
 
 
 def test_augment_append():
-    padded = augment(builtin("code8"), 1, "append")
+    padded = augment(builtin("code8"), 1)
     assert isinstance(padded, StabilizerCode) and (padded.n, padded.a) == (8, 6)
     assert padded.generators == builtin("code8").generators + (identity(8),)
     assert _placeholders(padded) == [False] * 5 + [True]
@@ -51,12 +53,14 @@ def test_augment_append():
 
 
 def test_augment_zero_and_prepend():
-    unchanged = augment(builtin("code5"), 0, "append")
+    unchanged = augment(builtin("code5"), 0)
     assert unchanged == builtin("code5") and not any(_placeholders(unchanged))
-    two = augment(builtin("code5"), 2, "append")
+    two = augment(builtin("code5"), 2)
     assert two.a == 6 and _placeholders(two) == [False] * 4 + [True] * 2
-    front = augment(builtin("code5"), 1, "prepend")
-    assert front.generators == (identity(5),) + builtin("code5").generators
+    # Padding in front is a leading identity row, which is a placeholder too.
+    front = StabilizerCode((identity(5),) + builtin("code5").generators, 5)
+    assert _placeholders(front) == [True] + [False] * 4
+    assert _base(front, _placeholders(front)) == builtin("code5")
 
 
 def test_base_of_a_plain_code_is_the_code_itself():
@@ -67,9 +71,7 @@ def test_base_of_a_plain_code_is_the_code_itself():
 
 def test_augment_argument_checks():
     with pytest.raises(ValueError):
-        augment(builtin("code5"), -1, "append")
-    with pytest.raises(ValueError):
-        augment(builtin("code5"), 1, "middle")
+        augment(builtin("code5"), -1)
 
 
 def test_locate_xz_untouched():
@@ -110,7 +112,7 @@ def test_locate_xz_recombines():
 
 
 def test_paste_reproduces_code13():
-    out = paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    out = paste(augment(builtin("code8"), 1), builtin("code5"))
     assert out == builtin("code13")
     rows = [format_pauli(g) for g in out.generators]
     assert rows == [
@@ -126,7 +128,7 @@ def test_paste_reproduces_code13():
 def test_paste_refuses_an_output_that_fails_its_distance_check(monkeypatch):
     fail_distance3_on(monkeypatch, 13)
     with pytest.raises(PasteVerificationError) as excinfo:
-        paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+        paste(augment(builtin("code8"), 1), builtin("code5"))
     assert str(excinfo.value) == (
         "pasted code failed the distance check: syndrome collision between "
         "XIIIIIIIIIIII and ZIIIIIIIIIIII"
@@ -136,7 +138,7 @@ def test_paste_refuses_an_output_that_fails_its_distance_check(monkeypatch):
 def test_paste_refuses_an_output_that_fails_validation(monkeypatch):
     fail_validation_on(monkeypatch, 13)
     with pytest.raises(PasteVerificationError) as excinfo:
-        paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+        paste(augment(builtin("code8"), 1), builtin("code5"))
     assert str(excinfo.value) == (
         "pasted code failed validation: anticommute (1, 3): rows anticommute; "
         "rank (2,): row depends on earlier rows"
@@ -144,8 +146,8 @@ def test_paste_refuses_an_output_that_fails_validation(monkeypatch):
 
 
 def test_paste_deterministic():
-    first = paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
-    second = paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    first = paste(augment(builtin("code8"), 1), builtin("code5"))
+    second = paste(augment(builtin("code8"), 1), builtin("code5"))
     assert first == second
 
 
@@ -158,7 +160,7 @@ def test_paste_16_plus_5():
 def test_paste_after_recombination():
     g = list(builtin("code8").generators)
     variant = StabilizerCode([multiply(g[0], g[1]), g[1], g[2], g[3], g[4]])
-    out = paste(augment(variant, 1, "append"), builtin("code5"))
+    out = paste(augment(variant, 1), builtin("code5"))
     assert (out.n, out.a) == (13, 6)
     assert format_pauli(out.generators[0]) == "X" * 8 + "I" * 5
     assert format_pauli(out.generators[1]) == "Z" * 8 + "I" * 5
@@ -166,11 +168,12 @@ def test_paste_after_recombination():
 
 
 def test_paste_padded_smaller():
-    out = paste(
-        augment(hamming_class(4), 1, "append"),
-        augment(builtin("code5"), 1, "prepend"),
-    )
+    code5 = builtin("code5")
+    out = paste(augment(hamming_class(4), 1), StabilizerCode((identity(5),) + code5.generators, 5))
     assert (out.n, out.a, out.n - out.a) == (21, 7, 14)
+    # SHA-256 of the pasted rows as text: front padding changes no row.
+    digest = hashlib.sha256(dumps(out).encode()).hexdigest()
+    assert digest == "0627702d879080c9cdbcace87dfbf612a9a613060c95a58325aaea6785e24089"
     assert verify_distance3(out).ok
     # the first smaller slot was a placeholder: row 3 is unextended
     assert format_pauli(out.generators[2]).endswith("IIIII")
@@ -184,7 +187,7 @@ def test_paste_wrong_direction_fails():
 
 
 def test_can_paste_ok():
-    diag = can_paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    diag = can_paste(augment(builtin("code8"), 1), builtin("code5"))
     assert diag.ok and diag.failed_names() == ()
     assert all(check.ok for check in diag.checks)
     with pytest.raises(KeyError):
@@ -198,40 +201,41 @@ def test_can_paste_missing_xz_rows():
 
 
 def test_can_paste_count_mismatch():
-    diag = can_paste(augment(builtin("code8"), 2, "append"), builtin("code5"))
+    diag = can_paste(augment(builtin("code8"), 2), builtin("code5"))
     assert diag.failed_names() == (CHECK_GENERATOR_COUNT,)
     assert "5" in diag.check(CHECK_GENERATOR_COUNT).detail
 
 
 def test_can_paste_degenerate_smaller_isolated():
     # 7 larger rows so the count matches the degenerate code's 5 generators.
-    diag = can_paste(augment(builtin("code8"), 2, "append"), degenerate_code6())
+    diag = can_paste(augment(builtin("code8"), 2), degenerate_code6())
     assert diag.failed_names() == (CHECK_SMALLER_NONDEGENERATE,)
     assert "collision" in diag.check(CHECK_SMALLER_NONDEGENERATE).detail
 
 
 def test_can_paste_degenerate_smaller_also_with_count_mismatch():
-    diag = can_paste(augment(builtin("code8"), 1, "append"), degenerate_code6())
+    diag = can_paste(augment(builtin("code8"), 1), degenerate_code6())
     assert CHECK_SMALLER_NONDEGENERATE in diag.failed_names()
 
 
 def test_can_paste_invalid_smaller():
     broken = StabilizerCode([parse_pauli("XXXXX"), parse_pauli("ZIIII")])
-    diag = can_paste(augment(builtin("code8"), 0, "append"), broken)
+    diag = can_paste(augment(builtin("code8"), 0), broken)
     assert CHECK_SMALLER_VALID in diag.failed_names()
     assert "not evaluated" in diag.check(CHECK_SMALLER_NONDEGENERATE).detail
 
 
 def test_can_paste_placeholder_pairing():
     diag = can_paste(
-        augment(hamming_class(4), 1, "append"),
-        augment(builtin("code5"), 1, "append"),
+        augment(hamming_class(4), 1),
+        augment(builtin("code5"), 1),
     )
     assert diag.failed_names() == (CHECK_PLACEHOLDER_PAIRING,)
 
 
 def test_can_paste_leading_placeholder():
-    diag = can_paste(augment(builtin("code8"), 1, "prepend"), builtin("code5"))
+    code8 = builtin("code8")
+    diag = can_paste(StabilizerCode((identity(8),) + code8.generators, 8), builtin("code5"))
     assert diag.failed_names() == (CHECK_XZ_ROWS,)
     assert "row 1 or 2" in diag.check(CHECK_XZ_ROWS).detail
 
@@ -258,7 +262,7 @@ def _split_expectations(output, larger_n, smaller_rows):
 
 
 def test_syndrome_split_golden():
-    out = paste(augment(builtin("code8"), 1, "append"), builtin("code5"))
+    out = paste(augment(builtin("code8"), 1), builtin("code5"))
     _split_expectations(out, 8, builtin("code5").generators)
 
 
