@@ -10,7 +10,6 @@ conditions.
 from .pauli import (
     PauliOperator,
     PauliParseError,
-    commutes,
     format_pauli,
     identity,
     multiply,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PauliOperator",
     "PauliParseError",
-    "commutes",
     "format_pauli",
     "identity",
     "multiply",

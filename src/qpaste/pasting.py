@@ -105,12 +105,6 @@ class PasteDiagnostics(NamedTuple):
     def failed_names(self) -> tuple[str, ...]:
         return tuple([c.name for c in self.checks if not c.ok])
 
-    def check(self, name: str) -> PasteCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 class PasteError(ValueError):
     """Pasting preconditions failed; carries the full diagnostics."""

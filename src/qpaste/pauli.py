@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 _FACTOR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_FACTOR = {bits: ch for ch, bits in _FACTOR_BITS.items()}
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 _X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
 _Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
@@ -59,13 +58,6 @@ class PauliOperator(_PauliFields):
             raise ValueError(f"bit vectors do not fit {n} qubits")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-
-    def factor(self, qubit: int) -> str:
-        """Single-qubit factor letter at 1-based position ``qubit``."""
-        if not 1 <= qubit <= self.n:
-            raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
-        i = qubit - 1
-        return _BITS_FACTOR[((self.x >> i) & 1, (self.z >> i) & 1)]
 
     def __str__(self) -> str:
         return format_pauli(self)
@@ -111,20 +103,6 @@ def format_pauli(p: PauliOperator) -> str:
     return body if p.sign > 0 else "-" + body
 
 
-def _check_same_n(p: PauliOperator, q: PauliOperator) -> None:
-    if p.n != q.n:
-        raise ValueError(f"operator lengths differ: {p.n} != {q.n}")
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> int:
-    """Symplectic inner product: 0 when p and q commute, 1 when they anticommute.
-
-    Signs are irrelevant; the result is symmetric in the arguments.
-    """
-    _check_same_n(p, q)
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
-
-
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Operator product p.q.
 
@@ -132,7 +110,8 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     factor of p passes an X-type factor of q (Z.X = -X.Z in the real
     convention), i.e. (-1) ** popcount(p.z & q.x).
     """
-    _check_same_n(p, q)
+    if p.n != q.n:
+        raise ValueError(f"operator lengths differ: {p.n} != {q.n}")
     flips = (p.z & q.x).bit_count() & 1
     sign = p.sign * q.sign * (-1 if flips else 1)
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, sign)

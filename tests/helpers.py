@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's bit-packed paths: dense
 matrices are built with numpy kron from plain strings, commutation is
-counted character by character, and span membership uses a numpy mod-2
-elimination.  They exist to cross-check the fast implementation.
+counted character by character or from the operators' x and z fields, and
+span membership uses a numpy mod-2 elimination or ``ReferenceEliminator``.
+They exist to cross-check the fast implementation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import DEFAULT_MAX_AMPLITUDES, KLReport, _sparse_codewords
-from qpaste.pauli import PauliOperator, commutes, identity, multiply, parse_pauli, y_count
+from qpaste.pauli import PauliOperator, identity, multiply, parse_pauli
 from qpaste.stabilizer import StabilizerCode, ValidationReport, Violation, contains
 from qpaste.pasting import augment
 from qpaste.verification import DistanceReport, enumerate_errors
-from qpaste import gf2
 
 MAT = {
     "I": np.array([[1, 0], [0, 1]], dtype=int),
@@ -80,12 +80,25 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> Syndrome:
     """
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return Syndrome(tuple([commutes(g, error) for g in code.generators]))
+    return Syndrome(tuple([anticommutes(g, error) for g in code.generators]))
+
+
+def anticommutes(p: PauliOperator, q: PauliOperator) -> int:
+    """1 when p and q anticommute: an odd count of qubits where both factors
+    are non-identity and differ, read from the x and z fields."""
+    assert p.n == q.n
+    differ = (p.x ^ q.x) | (p.z ^ q.z)
+    return ((p.x | p.z) & (q.x | q.z) & differ).bit_count() & 1
+
+
+def _odd_y_count(p: PauliOperator) -> bool:
+    """Whether an odd number of qubits carry Y, both field bits set."""
+    return bool((p.x & p.z).bit_count() & 1)
 
 
 def adjoint(p: PauliOperator) -> PauliOperator:
     """Conjugate transpose: p up to the sign of p.p, -1 exactly when the Y count is odd."""
-    return PauliOperator(p.n, p.x, p.z, -p.sign if y_count(p) & 1 else p.sign)
+    return PauliOperator(p.n, p.x, p.z, -p.sign if _odd_y_count(p) else p.sign)
 
 
 def char_commutes(a: str, b: str) -> int:
@@ -171,18 +184,18 @@ class ReferenceEliminator:
 
 
 def reference_violations(code: StabilizerCode) -> tuple[Violation, ...]:
-    """validate's violations from one y_count per generator, one commutes per
-    pair and the reference elimination of the symplectic rows."""
+    """validate's violations from one Y count per generator, one anticommutes
+    per pair and the reference elimination of the symplectic rows."""
     gens = code.generators
     out = [
         Violation("square", (i,), f"generator {i} squares to -1 (odd Y count)")
         for i, g in enumerate(gens, start=1)
-        if y_count(g) & 1
+        if _odd_y_count(g)
     ]
     out += [
         Violation("anticommute", (i, j), f"generators {i} and {j} anticommute")
         for i, j in combinations(range(1, len(gens) + 1), 2)
-        if commutes(gens[i - 1], gens[j - 1])
+        if anticommutes(gens[i - 1], gens[j - 1])
     ]
     elim = ReferenceEliminator(2 * code.n, [g.x | (g.z << code.n) for g in gens])
     out += [
@@ -210,9 +223,9 @@ def random_valid_code(rng: random.Random, n: int, a: int) -> StabilizerCode:
         p = PauliOperator(n, x, z, 1)
         if (x & z).bit_count() & 1:
             continue
-        if any(commutes(p, q) for q in rows):
+        if any(anticommutes(p, q) for q in rows):
             continue
-        if gf2.Eliminator(2 * n, packed + [x | (z << n)]).rank != len(rows) + 1:
+        if ReferenceEliminator(2 * n, packed + [x | (z << n)]).rank != len(rows) + 1:
             continue
         rows.append(p)
         packed.append(x | (z << n))
@@ -229,9 +242,9 @@ def random_mixer(rng: random.Random, m: int) -> list[int]:
         raise ValueError(f"no m x m mixer with L and L + I invertible for m = {m}")
     while True:
         rows = [rng.getrandbits(m) for _ in range(m)]
-        if gf2.Eliminator(m, rows).rank != m:
+        if ReferenceEliminator(m, rows).rank != m:
             continue
-        if gf2.Eliminator(m, [row ^ (1 << r) for r, row in enumerate(rows)]).rank != m:
+        if ReferenceEliminator(m, [row ^ (1 << r) for r, row in enumerate(rows)]).rank != m:
             continue
         return rows
 

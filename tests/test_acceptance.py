@@ -13,7 +13,7 @@ import numpy as np
 
 from qpaste.catalog import builtin, hamming_class, perfect
 from qpaste.kl import kl_check
-from qpaste.pauli import PauliOperator, commutes, format_pauli, multiply, parse_pauli
+from qpaste.pauli import PauliOperator, format_pauli, multiply, parse_pauli
 from qpaste.pasting import (
     CHECK_GENERATOR_COUNT,
     CHECK_SMALLER_NONDEGENERATE,
@@ -33,6 +33,7 @@ from qpaste.verification import (
 )
 
 from helpers import (
+    anticommutes,
     degenerate_code6,
     dense,
     paste_sample,
@@ -199,7 +200,7 @@ def test_criterion_5_closure_property():
                         smaller.n, x_bit << (qubit - n_large), z_bit << (qubit - n_large)
                     )
                     assert bits[2:] == tuple(
-                        commutes(row, small_err) for row in smaller.generators
+                        anticommutes(row, small_err) for row in smaller.generators
                     )
         checked += 1
     elapsed = time.perf_counter() - start
@@ -232,10 +233,11 @@ def test_criterion_7_single_qubit_algebra():
             product = multiply(parse_pauli(a), parse_pauli(b))
             if not np.array_equal(dense(format_pauli(product)), dense(a) @ dense(b)):
                 mismatches.append(("multiply", a, b))
+            # Commutation read from PQ against QP.
             ma, mb = dense(a), dense(b)
-            expected = 0 if np.array_equal(ma @ mb, mb @ ma) else 1
-            if commutes(parse_pauli(a), parse_pauli(b)) != expected:
-                mismatches.append(("commutes", a, b))
+            expected = np.array_equal(ma @ mb, mb @ ma)
+            if (product.sign == multiply(parse_pauli(b), parse_pauli(a)).sign) != expected:
+                mismatches.append(("commutation", a, b))
     _report(
         "7 (single-qubit algebra)",
         not mismatches,

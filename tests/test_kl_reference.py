@@ -8,11 +8,12 @@ import pytest
 from qpaste import gf2, kl
 from qpaste.catalog import builtin
 from qpaste.kl import _sparse_codewords, kl_check
-from qpaste.pauli import PauliOperator, commutes, format_pauli, identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors
 
 from helpers import (
+    anticommutes,
     degenerate_code6,
     dense,
     random_valid_code,
@@ -108,7 +109,7 @@ def _low_x_rank_code(rng: random.Random, n: int, a: int, x_rank: int) -> Stabili
     while len(rows) < a:
         bits = rng.getrandbits(n)
         p = PauliOperator(n, bits, 0, 1) if len(rows) < x_rank else PauliOperator(n, 0, bits, 1)
-        if any(commutes(p, q) for q in rows) or not independent.add(p.x | (p.z << n)):
+        if any(anticommutes(p, q) for q in rows) or not independent.add(p.x | (p.z << n)):
             continue
         rows.append(p)
     return StabilizerCode(rows, n)

@@ -7,7 +7,6 @@ from qpaste.catalog import builtin, hamming_class
 from qpaste.files import dumps
 from qpaste.pauli import (
     PauliOperator,
-    commutes,
     format_pauli,
     identity,
     multiply,
@@ -32,6 +31,7 @@ from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import verify_distance3
 
 from helpers import (
+    anticommutes,
     degenerate_code6,
     fail_distance3_on,
     fail_validation_on,
@@ -40,6 +40,12 @@ from helpers import (
     shuffled_qubits,
     syndrome,
 )
+
+
+def _named(diag, name):
+    """The check called ``name`` among ``diag.checks``."""
+    (check,) = [c for c in diag.checks if c.name == name]
+    return check
 
 
 def test_augment_append():
@@ -190,8 +196,6 @@ def test_can_paste_ok():
     diag = can_paste(augment(builtin("code8"), 1), builtin("code5"))
     assert diag.ok and diag.failed_names() == ()
     assert all(check.ok for check in diag.checks)
-    with pytest.raises(KeyError):
-        diag.check("no_such_check")
 
 
 def test_can_paste_missing_xz_rows():
@@ -203,14 +207,14 @@ def test_can_paste_missing_xz_rows():
 def test_can_paste_count_mismatch():
     diag = can_paste(augment(builtin("code8"), 2), builtin("code5"))
     assert diag.failed_names() == (CHECK_GENERATOR_COUNT,)
-    assert "5" in diag.check(CHECK_GENERATOR_COUNT).detail
+    assert "5" in _named(diag, CHECK_GENERATOR_COUNT).detail
 
 
 def test_can_paste_degenerate_smaller_isolated():
     # 7 larger rows so the count matches the degenerate code's 5 generators.
     diag = can_paste(augment(builtin("code8"), 2), degenerate_code6())
     assert diag.failed_names() == (CHECK_SMALLER_NONDEGENERATE,)
-    assert "collision" in diag.check(CHECK_SMALLER_NONDEGENERATE).detail
+    assert "collision" in _named(diag, CHECK_SMALLER_NONDEGENERATE).detail
 
 
 def test_can_paste_degenerate_smaller_also_with_count_mismatch():
@@ -222,7 +226,7 @@ def test_can_paste_invalid_smaller():
     broken = StabilizerCode([parse_pauli("XXXXX"), parse_pauli("ZIIII")])
     diag = can_paste(augment(builtin("code8"), 0), broken)
     assert CHECK_SMALLER_VALID in diag.failed_names()
-    assert "not evaluated" in diag.check(CHECK_SMALLER_NONDEGENERATE).detail
+    assert "not evaluated" in _named(diag, CHECK_SMALLER_NONDEGENERATE).detail
 
 
 def test_can_paste_placeholder_pairing():
@@ -237,7 +241,7 @@ def test_can_paste_leading_placeholder():
     code8 = builtin("code8")
     diag = can_paste(StabilizerCode((identity(8),) + code8.generators, 8), builtin("code5"))
     assert diag.failed_names() == (CHECK_XZ_ROWS,)
-    assert "row 1 or 2" in diag.check(CHECK_XZ_ROWS).detail
+    assert "row 1 or 2" in _named(diag, CHECK_XZ_ROWS).detail
 
 
 def _split_expectations(output, larger_n, smaller_rows):
@@ -257,7 +261,7 @@ def _split_expectations(output, larger_n, smaller_rows):
             bits = syndrome(output, err).bits
             assert bits[:2] == (0, 0)
             small_err = PauliOperator(n_small, x_bit << i, z_bit << i)
-            expected = tuple(commutes(row, small_err) for row in smaller_rows)
+            expected = tuple(anticommutes(row, small_err) for row in smaller_rows)
             assert bits[2:] == expected
 
 

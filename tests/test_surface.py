@@ -30,7 +30,6 @@ PUBLIC = [
     "builtin",
     "can_paste",
     "check_code",
-    "commutes",
     "contains",
     "distance",
     "dumps",
@@ -72,13 +71,14 @@ RETIRED = [
     "entries",
     "CatalogEntry",
     "PaddedCode",
+    "commutes",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 41
     assert sorted(qpaste.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qpaste, name) is not None
@@ -94,6 +94,8 @@ def test_retired_members_are_gone():
     assert not hasattr(gf2, "rank") and not hasattr(gf2, "rref")
     assert not hasattr(StabilizerCode, "syndrome_table")
     assert "tolerance" not in qpaste.KLReport._fields
+    assert not hasattr(qpaste.PauliOperator, "factor")
+    assert not hasattr(qpaste.PasteDiagnostics, "check")
 
 
 def test_readme_python_blocks_run():

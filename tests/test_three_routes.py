@@ -9,17 +9,19 @@ distance-4 fixtures, where the distance search scans every weight-3 candidate.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import kl_check
-from qpaste.pauli import identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, identity, parse_pauli, tensor
 from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import distance, enumerate_errors, verify_distance3
 
 from helpers import (
+    ReferenceEliminator,
     degenerate_code6,
     random_valid_code,
     reed_muller_code,
@@ -27,6 +29,7 @@ from helpers import (
     repeat_qubit,
     shor_code9,
     shuffled_qubits,
+    syndrome,
 )
 
 XX_ZZ = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
@@ -99,6 +102,49 @@ def test_three_routes_agree_on_shuffled_larger_codes(code, seed):
     assert shuffled.generators != code.generators
     assert_routes_agree(shuffled)
     assert verify_distance3(shuffled).ok
+
+
+def assert_low_weight_distance_matches_collisions(code: StabilizerCode) -> None:
+    """Route 2 below weight 3 against route 1's collisions: a logical of weight
+    1 is a weight-1 error with the zero syndrome, one of weight 2 the product
+    of two weight-1 errors on different qubits that share a syndrome, each
+    outside the span of the generators' (x | z) rows."""
+    n = code.n
+    span = ReferenceEliminator(2 * n, [g.x | (g.z << n) for g in code.generators])
+    errors = [
+        (q, (x << q) | (z << (q + n)), syndrome(code, PauliOperator(n, x << q, z << q)).as_int())
+        for q in range(n)
+        for x, z in ((1, 0), (1, 1), (0, 1))
+    ]
+    weight1 = any(s == 0 and span.solve(bits) is None for _, bits, s in errors)
+    assert (distance(code, 1) == 1) == weight1
+    if n >= 2:
+        weight2 = not weight1 and any(
+            q != r and s == t and span.solve(e ^ f) is None
+            for (q, e, s), (r, f, t) in combinations(errors, 2)
+        )
+        assert (distance(code, 2) == 2) == weight2
+    if len({0} | {s for _, _, s in errors}) == 3 * n + 1:
+        assert distance(code, min(2, n)) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_codes())
+def test_low_weight_distance_matches_collisions(code):
+    assert_low_weight_distance_matches_collisions(code)
+
+
+@pytest.mark.parametrize(
+    "code",
+    list(PASSING)
+    + [
+        shuffled_qubits(random.Random(seed), code)
+        for code in (builtin("code13"), hamming_class(4))
+        for seed in (0, 1, 2)
+    ],
+)
+def test_low_weight_distance_matches_collisions_on_fixed_codes(code):
+    assert_low_weight_distance_matches_collisions(code)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
