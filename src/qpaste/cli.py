@@ -136,10 +136,15 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged
     and writes help and usage errors to the streams current at that call."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its command parsers by name, one tree."""
     parser = argparse.ArgumentParser(
         prog="qpaste",
         description="Verify, paste and generate one-error stabilizer codes.",
@@ -213,13 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_syndromes.add_argument("file")
     p_syndromes.set_defaults(func=cmd_syndromes)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` without ``command``, in one argparse
+    pass when ``argv`` starts with a command's exact name."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            return args
+    # Left-over arguments are refused by the top-level parser, in its words.
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

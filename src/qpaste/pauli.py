@@ -16,8 +16,12 @@ from typing import NamedTuple
 
 _FACTOR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
-_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
-_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
+# Binary digits of each factor letter for int(..., 2).  Every other byte, the
+# UTF-8 bytes of non-ASCII characters included, maps to "2", which int()
+# refuses: nothing else may pass as whitespace, an underscore or a sign.
+_OTHER_BYTES = bytes(b for b in range(256) if b not in b"IXYZ")
+_X_DIGITS = bytes.maketrans(b"IXYZ" + _OTHER_BYTES, b"0110" + b"2" * len(_OTHER_BYTES))
+_Z_DIGITS = bytes.maketrans(b"IXYZ" + _OTHER_BYTES, b"0011" + b"2" * len(_OTHER_BYTES))
 # Base-4 digit x + 2z of one qubit, see format_pauli.
 _DIGIT_FACTORS = str.maketrans("0123", "IXZY")
 
@@ -81,14 +85,14 @@ def parse_pauli(text: str) -> PauliOperator:
         body = body[1:]
     if not body:
         raise PauliParseError("empty Pauli string")
-    # Only ASCII bodies encode to one byte per character; translate then drops
-    # the factor letters, so any byte left over is an invalid character.
-    if not body.isascii() or (raw := body.encode()).translate(None, b"IXYZ"):
-        i, ch = next((i, ch) for i, ch in enumerate(body, 1) if ch not in _FACTOR_BITS)
-        raise PauliParseError(f"invalid character {ch!r} at position {i}")
     # Reversed, the text reads most significant qubit first, as int() wants.
-    reverse = raw[::-1]
-    x = int(reverse.translate(_X_DIGITS), 2)
+    # A lone surrogate encodes too, so that it reaches the diagnostic below.
+    reverse = body.encode("utf-8", "surrogatepass")[::-1]
+    try:
+        x = int(reverse.translate(_X_DIGITS), 2)
+    except ValueError:
+        i, ch = next((i, ch) for i, ch in enumerate(body, 1) if ch not in _FACTOR_BITS)
+        raise PauliParseError(f"invalid character {ch!r} at position {i}") from None
     z = int(reverse.translate(_Z_DIGITS), 2)
     return PauliOperator(len(body), x, z, sign)
 

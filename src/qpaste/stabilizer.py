@@ -9,8 +9,9 @@ order.
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .pauli import PauliOperator, identity, multiply, y_count
@@ -76,7 +77,7 @@ class StabilizerCode:
         return gf2.Eliminator(2 * self.n, self._packed)
 
     @cached_property
-    def _syndrome_keys(self) -> list[int]:
+    def _syndrome_keys(self) -> Sequence[int]:
         """Syndrome key of each weight-<=1 error, in ``enumerate_errors(n, 1)``
         order: 0 for the identity, then X, Y, Z on each qubit in turn.
 
@@ -94,12 +95,12 @@ class StabilizerCode:
         # interleaved, so 64-bit word m is the 8x8 bit matrix of each row's
         # byte m, and the delta swaps transpose every word at once.  The bytes
         # of eight groups fill each 8-byte lane in the host's byte order, so
-        # one native cast reads 64 rows of every key.
+        # one native read of the lanes gives 64 rows of every key.
         row_bytes = (2 * n + 7) // 8
         ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * row_bytes, "little")
         swaps = [(shift, mask * ones) for shift, mask in _DELTA_SWAPS]
         low = (1 << 8 * n) - 1
-        keys = [0] * (3 * n + 1)
+        keys = array("Q", [0]) * (3 * n + 1)
         for start in range(0, len(rows), 64):
             lanes = bytearray(8 * len(keys))
             for byte, first in enumerate(range(start, min(start + 64, len(rows)), 8)):
@@ -117,7 +118,8 @@ class StabilizerCode:
                 lanes[8 + offset :: 24] = z.to_bytes(n, "little")
                 lanes[16 + offset :: 24] = (x ^ z).to_bytes(n, "little")
                 lanes[24 + offset :: 24] = x.to_bytes(n, "little")
-            block = memoryview(lanes).cast("Q").tolist()
+            block = array("Q")
+            block.frombytes(lanes)
             keys = block if not start else [c | (b << start) for c, b in zip(keys, block)]
         return keys
 

@@ -96,7 +96,8 @@ def verify_distance3(code: StabilizerCode, allow_degenerate: bool = False) -> Di
     # Error index 0 is the identity, 3i + f + 1 is factor f on qubit i:
     # the canonical order of enumerate_errors(n, 1).
     keys = code._syndrome_keys
-    # With 2^a < 3n + 1 the a-bit keys cannot all differ: scan for the first collision.
+    # With 2^a < 3n + 1 the a-bit keys cannot all differ: scan for the first
+    # collision, reading keys one at a time so that a failing code stops there.
     if len(keys) <= 1 << code.a and len(set(keys)) == len(keys):
         return DistanceReport(True, False, len(keys), len(keys), None, ())
     seen: dict[int, int] = {}
@@ -139,8 +140,8 @@ def distance(code: StabilizerCode, max_weight: int) -> int | None:
         raise ValueError(f"max weight {max_weight} exceeds qubit count {n}")
     if max_weight < 1:
         raise ValueError(f"max weight {max_weight} out of range 1..{n}")
-    keys = code._syndrome_keys
-    # Qubit i's X, Y and Z keys; this view lives only as long as the search.
+    keys = list(code._syndrome_keys)
+    # Qubit i's X, Y and Z keys as ints; this view lives only as long as the search.
     table = [keys[i : i + 3] for i in range(1, 3 * n + 1, 3)]
     for w in range(1, max_weight + 1):
         for head in combinations(range(n), w - 1):

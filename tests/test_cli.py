@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import qpaste.cli
 from qpaste.catalog import builtin, perfect
 from qpaste.cli import main
 from qpaste.files import dumps
@@ -494,3 +495,52 @@ def test_each_call_writes_to_the_streams_of_that_call(capsys):
     captured = capsys.readouterr()
     assert captured.out == "best k = 1 (perfect)\n"
     assert captured.err == err.getvalue()
+
+
+# Each command's own parser against the whole tree: left-over arguments,
+# help, options of each parser and no or unknown commands.
+PARSE_MATRIX = [
+    ["verify", "--help"],
+    ["verify"],
+    ["verify", "-", "--distance", "x"],
+    ["verify", "-", "--dist", "3"],
+    ["verify", "--", "-"],
+    ["verify", "-", "extra"],
+    ["family", "perfect", "--help"],
+    ["family", "perfect", "1", "extra"],
+    ["family", "nosuch"],
+    ["bound", "13"],
+    ["bound", "13", "1", "2"],
+    ["--help"],
+    ["-h", "verify"],
+    ["nosuch"],
+    ["Verify", "-"],
+    [],
+]
+
+
+def _top_level_parse(argv):
+    return qpaste.cli.build_parser().parse_args(argv)
+
+
+def _run(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(dumps(builtin("code5"))))
+    code = main(argv)
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=" ".join)
+def test_one_pass_parse_matches_the_top_level_parse(argv, capsys, monkeypatch):
+    got = _run(argv, capsys, monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(qpaste.cli, "_parse", _top_level_parse)
+        assert _run(argv, capsys, monkeypatch) == got
+    try:
+        whole = vars(_top_level_parse(argv))
+    except SystemExit as exc:
+        with pytest.raises(SystemExit) as info:
+            qpaste.cli._parse(argv)
+        assert info.value.code == exc.code
+    else:
+        whole.pop("command")
+        assert vars(qpaste.cli._parse(argv)) == whole

@@ -67,6 +67,35 @@ def test_parse_names_the_first_non_ascii_character(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("XZ Y", "invalid character ' ' at position 3"),
+        ("XZ_Y", "invalid character '_' at position 3"),
+        ("0XZ", "invalid character '0' at position 1"),
+        ("XZ1", "invalid character '1' at position 3"),
+        ("+-XZ", "invalid character '-' at position 1"),
+        ("--XZ", "invalid character '-' at position 1"),
+        ("XZé", "invalid character 'é' at position 3"),
+        ("\udcffXZ", "invalid character '\\udcff' at position 1"),
+    ],
+)
+def test_parse_refusal_messages(text, message):
+    with pytest.raises(PauliParseError) as info:
+        parse_pauli(text)
+    assert str(info.value) == message
+
+
+def test_parse_refuses_every_other_character_below_256():
+    # int(..., 2) takes whitespace, "_", signs and the digits: each must still be refused.
+    for code in set(range(256)) - set(b"IXYZ"):
+        ch = chr(code)
+        for text, position in (("+" + ch + "XZ", 1), ("XY" + ch + "Z", 3), ("IZ" + ch, 3)):
+            with pytest.raises(PauliParseError) as info:
+                parse_pauli(text)
+            assert str(info.value) == f"invalid character {ch!r} at position {position}"
+
+
 def test_text_codec_matches_per_qubit_factors():
     rng = random.Random(11)
     for n in (1, 2, 7, 64, 65, 1365, 2000):

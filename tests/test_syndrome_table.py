@@ -1,6 +1,8 @@
 """Differential tests: the flat weight-<=1 syndrome keys against syndrome() per error."""
 
+import pickle
 import random
+from array import array
 
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     reference_distance,
     reference_syndrome_table,
     reference_verify_distance3,
+    repeat_qubit,
     shor_code9,
     syndrome,
 )
@@ -68,7 +71,7 @@ def _reference_keys(code: StabilizerCode) -> list[int]:
 
 def test_flat_keys_match_syndrome(code):
     for variant in (code, _with_last_row_dropped(code)):
-        assert variant._syndrome_keys == _reference_keys(variant)
+        assert list(variant._syndrome_keys) == _reference_keys(variant)
 
 
 @pytest.mark.parametrize("a", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
@@ -88,10 +91,45 @@ def test_flat_keys_for_any_row_count(a):
             ones = (1 << n) - 1
             codes.append(StabilizerCode([PauliOperator(n, ones, ones)] * a, n))
             full = (1 << a) - 1
-            assert codes[-1]._syndrome_keys == [0] + [full, 0, full] * n
+            assert list(codes[-1]._syndrome_keys) == [0] + [full, 0, full] * n
         for code in codes:
-            assert code._syndrome_keys == _reference_keys(code)
+            assert list(code._syndrome_keys) == _reference_keys(code)
             assert _per_qubit(code._syndrome_keys) == reference_syndrome_table(code)
+
+
+@pytest.mark.parametrize("a", [0, 1, 8, 63, 64])
+def test_keys_are_one_64_bit_array_up_to_64_rows(a):
+    rng = random.Random(a)
+    rows = [PauliOperator(9, rng.getrandbits(9), rng.getrandbits(9)) for _ in range(a)]
+    keys = StabilizerCode(rows, 9)._syndrome_keys
+    assert type(keys) is array and keys.typecode == "Q" and keys.itemsize == 8
+    assert len(keys) == 3 * 9 + 1
+
+
+def test_keys_survive_a_pickle_round_trip():
+    for code in (perfect(3), _with_last_row_dropped(perfect(3))):
+        keys = code._syndrome_keys
+        copy = pickle.loads(pickle.dumps(code))
+        assert copy == code and copy._syndrome_keys == keys
+        assert verify_distance3(copy) == verify_distance3(code)
+
+
+def test_failing_perfect5_variants_name_the_same_witness():
+    # A dropped row (a = 11) collides at the 771st distinct key, before most
+    # keys are read; a repeated qubit (a = 13) only near the end.
+    code = perfect(5, j_max=5)
+
+    def z(n, qubit):
+        return PauliOperator(n, 0, 1 << qubit - 1)
+
+    for variant, witness, distinct in (
+        (_with_last_row_dropped(code), (z(1365, 1), z(1365, 257)), 771),
+        (repeat_qubit(code, 700), (z(1366, 701), z(1366, 1366)), 4098),
+    ):
+        report = verify_distance3(variant)
+        assert report == reference_verify_distance3(variant, False)
+        assert not report.ok and report.witness == witness
+        assert report.distinct_count == distinct
 
 
 @pytest.mark.parametrize("allow_degenerate", [False, True])
