@@ -9,7 +9,7 @@ rows are placeholders, read and written like any other code.
 
 from __future__ import annotations
 
-from .pauli import PauliParseError, format_pauli, parse_pauli
+from .pauli import PauliParseError, _parse_row, format_pauli
 from .stabilizer import StabilizerCode
 
 
@@ -18,7 +18,11 @@ class StabilizerFileError(ValueError):
 
 
 def loads(text: str) -> StabilizerCode:
-    """Parse file content into a code, placeholder rows kept in place."""
+    """Parse file content into a code, placeholder rows kept in place.
+
+    Each row is read straight into its packed form; the code builds its
+    generators from those rows only when they are read.
+    """
     text = text.removeprefix("\ufeff")
     rows = []
     n = None
@@ -28,25 +32,25 @@ def loads(text: str) -> StabilizerCode:
         if not line or line.startswith("#"):
             continue
         try:
-            row = parse_pauli(line)
+            width, row, sign = _parse_row(line)
         except PauliParseError as exc:
             raise StabilizerFileError(f"line {lineno}: {exc}") from exc
-        if row.sign != 1:
+        if sign != 1:
             raise StabilizerFileError(
                 f"line {lineno}: generator rows must not carry a minus sign"
             )
         if n is None:
-            n = row.n
+            n = width
             first_line = lineno
-        elif row.n != n:
+        elif width != n:
             raise StabilizerFileError(
-                f"line {lineno}: row length {row.n} differs from length {n} "
+                f"line {lineno}: row length {width} differs from length {n} "
                 f"of line {first_line}"
             )
         rows.append(row)
     if not rows:
         raise StabilizerFileError("no generator rows found")
-    return StabilizerCode(rows)
+    return StabilizerCode((), n, _rows=rows)
 
 
 def dumps(code: StabilizerCode) -> str:

@@ -78,6 +78,12 @@ def parse_pauli(text: str) -> PauliOperator:
     An optional leading "+" or "-" sets the sign; the remaining characters
     must all be in {I, X, Y, Z}, leftmost character acting on qubit 1.
     """
+    n, row, sign = _parse_row(text)
+    return PauliOperator(n, row & ((1 << n) - 1), row >> n, sign)
+
+
+def _parse_row(text: str) -> tuple[int, int, int]:
+    """(n, x | z << n, sign) of a Pauli string, read as :func:`parse_pauli` reads it."""
     sign = 1
     body = text
     if body[:1] in _SIGN_CHARS:
@@ -85,16 +91,16 @@ def parse_pauli(text: str) -> PauliOperator:
         body = body[1:]
     if not body:
         raise PauliParseError("empty Pauli string")
-    # Reversed, the text reads most significant qubit first, as int() wants.
+    # Reversed, the text reads most significant qubit first, as int() wants:
+    # its Z digits and then its X digits are the packed row's 2n bits.
     # A lone surrogate encodes too, so that it reaches the diagnostic below.
     reverse = body.encode("utf-8", "surrogatepass")[::-1]
     try:
-        x = int(reverse.translate(_X_DIGITS), 2)
+        row = int(reverse.translate(_Z_DIGITS) + reverse.translate(_X_DIGITS), 2)
     except ValueError:
         i, ch = next((i, ch) for i, ch in enumerate(body, 1) if ch not in _FACTOR_BITS)
         raise PauliParseError(f"invalid character {ch!r} at position {i}") from None
-    z = int(reverse.translate(_Z_DIGITS), 2)
-    return PauliOperator(len(body), x, z, sign)
+    return len(body), row, sign
 
 
 def format_pauli(p: PauliOperator) -> str:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
-from .pauli import PauliOperator, identity, multiply, y_count
+from .pauli import PauliOperator, identity, multiply
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -45,13 +45,26 @@ class StabilizerCode:
     invariants are checked by :func:`validate` so that broken inputs can be
     reported rather than refused.  A pasting template is such a list whose
     identity rows are placeholders; with any, it fails :func:`validate`
-    (rank).  Instances are immutable; the packed symplectic rows are built
-    eagerly, the GF(2) elimination cache used for rank and membership
-    tests, the validation report and the weight-<=1 syndrome keys on first
-    use.
+    (rank).  Instances are immutable.  A code is its packed symplectic rows,
+    ``x | z << n`` per generator.  Built from them on first use and kept:
+    ``generators``, unless the code was built from operators; the GF(2)
+    elimination cache used for rank and membership tests; the validation
+    report; and the weight-<=1 syndrome keys.
     """
 
-    def __init__(self, generators: Iterable[PauliOperator], n: int | None = None):
+    def __init__(
+        self,
+        generators: Iterable[PauliOperator],
+        n: int | None = None,
+        *,
+        _rows: Iterable[int] | None = None,
+    ):
+        # ``_rows``, packed rows already checked against n (see files.loads),
+        # stand in for ``generators``, which are then left unbuilt.
+        if _rows is not None:
+            self.n = n
+            self._packed = tuple(_rows)
+            return
         gens = tuple(generators)
         if n is None:
             if not gens:
@@ -68,9 +81,16 @@ class StabilizerCode:
         self.generators = gens
         self._packed = tuple([_pack(g) for g in gens])
 
+    @cached_property
+    def generators(self) -> tuple[PauliOperator, ...]:
+        """The rows as sign-+1 operators, in order."""
+        n = self.n
+        low = (1 << n) - 1
+        return tuple([PauliOperator(n, row & low, row >> n) for row in self._packed])
+
     @property
     def a(self) -> int:
-        return len(self.generators)
+        return len(self._packed)
 
     @cached_property
     def _elim(self) -> gf2.Eliminator:
@@ -131,10 +151,10 @@ class StabilizerCode:
         """Bit-exact equality: same qubit count and same ordered rows."""
         if not isinstance(other, StabilizerCode):
             return NotImplemented
-        return self.n == other.n and self.generators == other.generators
+        return self.n == other.n and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash((self.n, self.generators))
+        return hash((self.n, self._packed))
 
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, a={self.a})"
@@ -175,18 +195,20 @@ def _require_valid(code: StabilizerCode) -> None:
 
 def _check_invariants(code: StabilizerCode) -> ValidationReport:
     violations: list[Violation] = []
-    gens = code.generators
-    for i, g in enumerate(gens, start=1):
-        if y_count(g) & 1:
+    n = code.n
+    rows = code._packed
+    for i, row in enumerate(rows, start=1):
+        # The low n bits of row & (row >> n) are x & z: the row's Y factors.
+        if (row & (row >> n)).bit_count() & 1:
             violations.append(
                 Violation("square", (i,), f"generator {i} squares to -1 (odd Y count)")
             )
     # Generators i and j anticommute when x_i.z_j + z_i.x_j is odd: the
     # packed row i against row j with its x and z parts swapped.
-    n = code.n
-    swapped = [g.z | (g.x << n) for g in gens]
-    for i, row in enumerate(code._packed):
-        for j in range(i + 1, len(gens)):
+    low = (1 << n) - 1
+    swapped = [(row >> n) | ((row & low) << n) for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
             if (row & swapped[j]).bit_count() & 1:
                 violations.append(
                     Violation(
