@@ -20,7 +20,7 @@ from functools import cache
 from typing import Sequence
 
 from . import gf2
-from .pauli import PauliOperator, parse_pauli
+from .pauli import _parse_row
 from .stabilizer import StabilizerCode
 from .pasting import _prove_one_error, paste
 from .verification import perfect_length
@@ -100,7 +100,8 @@ def _builtin(name: str) -> StabilizerCode:
         known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown catalog code {name!r} (known: {known})")
     rows, (n, a) = _BUILTINS[name]
-    return _checked(StabilizerCode([parse_pauli(r) for r in rows]), n, a, name)
+    code = StabilizerCode((), len(rows[0]), _rows=[_parse_row(r)[1] for r in rows])
+    return _checked(code, n, a, name)
 
 
 def _mixer_columns(m: int, mixer: Sequence[int] | None) -> list[int]:
@@ -166,7 +167,7 @@ def _build_hamming_class(m: int, columns: list[int]) -> StabilizerCode:
         )
     n = 1 << m
     ones = (1 << n) - 1
-    gens = [PauliOperator(n, ones, 0, 1), PauliOperator(n, 0, ones, 1)]
+    rows = [ones, ones << n]
     z_rows = []
     for r in range(m):
         half = 1 << r
@@ -180,8 +181,8 @@ def _build_hamming_class(m: int, columns: list[int]) -> StabilizerCode:
         for column, z_row in zip(columns, z_rows):
             if column >> r & 1:
                 x_bits ^= z_row
-        gens.append(PauliOperator(n, x_bits, z_bits, 1))
-    return _checked(StabilizerCode(gens), n, m + 2, f"hamming_class({m})")
+        rows.append(x_bits | z_bits << n)
+    return _checked(StabilizerCode((), n, _rows=rows), n, m + 2, f"hamming_class({m})")
 
 
 def perfect(j: int, j_max: int = 4) -> StabilizerCode:

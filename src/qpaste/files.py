@@ -9,7 +9,7 @@ rows are placeholders, read and written like any other code.
 
 from __future__ import annotations
 
-from .pauli import PauliParseError, _parse_row, format_pauli
+from .pauli import PauliParseError, _format_row, _parse_row
 from .stabilizer import StabilizerCode
 
 
@@ -55,4 +55,4 @@ def loads(text: str) -> StabilizerCode:
 
 def dumps(code: StabilizerCode) -> str:
     """Render a code, one generator per line."""
-    return "\n".join(format_pauli(r) for r in code.generators) + "\n"
+    return "\n".join([_format_row(code.n, row) for row in code._packed]) + "\n"

@@ -77,7 +77,7 @@ def _columns(ops: Sequence[PauliOperator], n: int) -> tuple[np.ndarray, np.ndarr
     """
     import numpy as np
 
-    lengths, xs, zs, signs = zip(*ops) if ops else ((),) * 4
+    lengths, xs, zs, signs = zip(*ops)
     for length in lengths:
         if length != n:
             raise ValueError(f"error acts on {length} qubits, code has {n}")
@@ -93,7 +93,8 @@ def _signed_permutations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index maps and coefficients with (P v)[c] = coeff[c] * v[src[c]].
 
-    The operators are given as columns of ``_columns``, broadcast against
+    The operators are given as columns of ``_columns``, or as the
+    generators' x and z columns with the scalar sign +1, broadcast against
     the basis indices ``index``: an ``index`` of shape (s, 1) against m
     columns gives arrays of shape (s, m), and one of shape (s,) against
     columns of shape (m, 1) gives (m, s).  P|b> = sign * (-1)^{popcount(b & z)}
@@ -143,14 +144,16 @@ def _sparse_codewords(
     _require_valid(code)
     k = code.n - code.a
     index = np.arange(dim)
-    xs, zs, signs = _columns(code.generators, code.n)
+    # Rows have 2n <= 48 bits: the generators' x and z columns are int64.
+    packed = np.array(code._packed, dtype=np.int64)
+    xs, zs = packed & (dim - 1), packed >> code.n
     # Index maps and coefficients for as many generators at a time as fit
     # one chunk: all of them at n <= 10, one at a time from n = 16.
     per = max(1, _CHUNK // dim)
     parts = [slice(g, g + per) for g in range(0, len(xs), per)]
 
     def maps(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        return _signed_permutations(xs[part, None], zs[part, None], signs[part, None], index)
+        return _signed_permutations(xs[part, None], zs[part, None], np.float32(1), index)
 
     # When one chunk holds every generator, its index maps serve both the
     # labels and the projection; with more chunks the projection builds

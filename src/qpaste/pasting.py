@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import gf2
-from .pauli import PauliOperator, identity, tensor
-from .stabilizer import StabilizerCode, _pack, contains, validate
+from .pauli import PauliOperator
+from .stabilizer import StabilizerCode, contains, validate
 from .verification import verify_distance3
 
 CHECK_LARGER_VALID = "larger_valid"
@@ -44,7 +44,8 @@ def _base(code: StabilizerCode, flags: list[bool]) -> StabilizerCode:
     so the checks cached on it are not redone."""
     if not any(flags):
         return code
-    return StabilizerCode([g for g, flag in zip(code.generators, flags) if not flag], code.n)
+    rows = [row for row, flag in zip(code._packed, flags) if not flag]
+    return StabilizerCode((), code.n, _rows=rows)
 
 
 def augment(code: StabilizerCode, count: int) -> StabilizerCode:
@@ -57,7 +58,7 @@ def augment(code: StabilizerCode, count: int) -> StabilizerCode:
     """
     if count < 0:
         raise ValueError("placeholder count must be non-negative")
-    return StabilizerCode(code.generators + (identity(code.n),) * count, code.n)
+    return StabilizerCode((), code.n, _rows=code._packed + (0,) * count)
 
 
 def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:
@@ -70,18 +71,16 @@ def locate_xz_generators(code: StabilizerCode) -> StabilizerCode | None:
     """
     n = code.n
     ones = (1 << n) - 1
-    x_row = PauliOperator(n, ones, 0, 1)
-    z_row = PauliOperator(n, 0, ones, 1)
+    x_row = PauliOperator(n, ones, 0)
+    z_row = PauliOperator(n, 0, ones)
     if not (contains(code, x_row) and contains(code, z_row)):
         return None
-    if code.a >= 2 and code.generators[0] == x_row and code.generators[1] == z_row:
+    basis = [ones, ones << n]
+    if code._packed[:2] == tuple(basis):
         return code
-    elim = gf2.Eliminator(2 * n, [_pack(x_row), _pack(z_row)])
-    new_gens = [x_row, z_row]
-    for g in code.generators:
-        if elim.add(_pack(g)):
-            new_gens.append(g)
-    return StabilizerCode(new_gens, n)
+    elim = gf2.Eliminator(2 * n, basis)
+    basis += [row for row in code._packed if elim.add(row)]
+    return StabilizerCode((), n, _rows=basis)
 
 
 class PasteCheck(NamedTuple):
@@ -219,10 +218,17 @@ def paste(larger: StabilizerCode, smaller: StabilizerCode) -> StabilizerCode:
     flags, diagnostics, located = _plan(larger, smaller)
     if not diagnostics.ok:
         raise PasteError(diagnostics)
-    # Placeholder rows are the identity, so this is larger's rows when the basis is as given.
-    basis = iter(located.generators)
-    filled = [identity(larger.n) if flag else next(basis) for flag in flags]
-    extension = (identity(smaller.n),) * 2 + smaller.generators
-    result = StabilizerCode([tensor(b, s) for b, s in zip(filled, extension)])
+    # Placeholder rows are 0, so this is larger's rows when the basis is as given.
+    basis = iter(located._packed)
+    filled = [0 if flag else next(basis) for flag in flags]
+    extension = (0, 0) + smaller._packed
+    # Each output row is its two rows' x parts side by side, then their z parts.
+    n1, n2 = larger.n, smaller.n
+    low1, low2 = (1 << n1) - 1, (1 << n2) - 1
+    rows = [
+        (b & low1) | (s & low2) << n1 | ((b >> n1) | (s >> n2) << n1) << (n1 + n2)
+        for b, s in zip(filled, extension)
+    ]
+    result = StabilizerCode((), n1 + n2, _rows=rows)
 
     return _prove_one_error(result, PasteVerificationError, "pasted code")

@@ -105,12 +105,17 @@ def _parse_row(text: str) -> tuple[int, int, int]:
 
 def format_pauli(p: PauliOperator) -> str:
     """Render an operator as text; the sign is printed only when -1."""
+    body = _format_row(p.n, p.x | p.z << p.n)
+    return body if p.sign > 0 else "-" + body
+
+
+def _format_row(n: int, row: int) -> str:
+    """Unsigned text of the packed row x | z << n, as :func:`format_pauli` writes it."""
     # Read as hex, the binary text of x puts bit i in hex digit i, so
     # x + 2z has the digit x_i + 2 z_i (0..3, no carry) at qubit i.
-    width = f"0{p.n}b"
-    digits = int(format(p.x, width), 16) + 2 * int(format(p.z, width), 16)
-    body = format(digits, f"0{p.n}x")[::-1].translate(_DIGIT_FACTORS)
-    return body if p.sign > 0 else "-" + body
+    width = f"0{n}b"
+    digits = int(format(row & ((1 << n) - 1), width), 16) + 2 * int(format(row >> n, width), 16)
+    return format(digits, f"0{n}x")[::-1].translate(_DIGIT_FACTORS)
 
 
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
-from .pauli import PauliOperator, identity, multiply
+from .pauli import PauliOperator
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -46,10 +46,10 @@ class StabilizerCode:
     reported rather than refused.  A pasting template is such a list whose
     identity rows are placeholders; with any, it fails :func:`validate`
     (rank).  Instances are immutable.  A code is its packed symplectic rows,
-    ``x | z << n`` per generator.  Built from them on first use and kept:
-    ``generators``, unless the code was built from operators; the GF(2)
-    elimination cache used for rank and membership tests; the validation
-    report; and the weight-<=1 syndrome keys.
+    ``x | z << n`` per generator; operators given are checked and packed,
+    not kept.  Built from the rows on first use and kept: ``generators``;
+    the GF(2) elimination cache used for rank and membership tests; the
+    validation report; and the weight-<=1 syndrome keys.
     """
 
     def __init__(
@@ -60,26 +60,23 @@ class StabilizerCode:
         _rows: Iterable[int] | None = None,
     ):
         # ``_rows``, packed rows already checked against n (see files.loads),
-        # stand in for ``generators``, which are then left unbuilt.
-        if _rows is not None:
-            self.n = n
-            self._packed = tuple(_rows)
-            return
-        gens = tuple(generators)
-        if n is None:
-            if not gens:
-                raise ValueError("qubit count required for an empty generator list")
-            n = gens[0].n
-        if n < 1:
-            raise ValueError("a generator list needs at least one qubit")
-        for i, g in enumerate(gens, start=1):
-            if g.n != n:
-                raise ValueError(f"generator {i} acts on {g.n} qubits, expected {n}")
-            if g.sign != 1:
-                raise ValueError(f"generator {i} must have sign +1")
+        # stand in for ``generators``.
+        if _rows is None:
+            gens = tuple(generators)
+            if n is None:
+                if not gens:
+                    raise ValueError("qubit count required for an empty generator list")
+                n = gens[0].n
+            if n < 1:
+                raise ValueError("a generator list needs at least one qubit")
+            for i, g in enumerate(gens, start=1):
+                if g.n != n:
+                    raise ValueError(f"generator {i} acts on {g.n} qubits, expected {n}")
+                if g.sign != 1:
+                    raise ValueError(f"generator {i} must have sign +1")
+            _rows = [_pack(g) for g in gens]
         self.n = n
-        self.generators = gens
-        self._packed = tuple([_pack(g) for g in gens])
+        self._packed = tuple(_rows)
 
     @cached_property
     def generators(self) -> tuple[PauliOperator, ...]:
@@ -230,18 +227,6 @@ def _check_invariants(code: StabilizerCode) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def _replay(code: StabilizerCode, combination: int) -> PauliOperator:
-    """Sign-exact product of the generators selected by the bitmask."""
-    acc = identity(code.n)
-    i = 0
-    while combination:
-        if combination & 1:
-            acc = multiply(acc, code.generators[i])
-        combination >>= 1
-        i += 1
-    return acc
-
-
 def _in_span(code: StabilizerCode, bits: int) -> bool:
     """Whether packed ``bits`` lie in the generators' GF(2) span: for a valid code
     (no -I in its group), whether the operator or its negative is a member."""
@@ -251,12 +236,20 @@ def _in_span(code: StabilizerCode, bits: int) -> bool:
 def contains(code: StabilizerCode, p: PauliOperator) -> bool:
     """Group membership, sign included.
 
-    Solves the GF(2) system for the bit part, then replays the generator
-    product to check that the accumulated sign matches ``p.sign``.
+    Solves the GF(2) system for the bit part, then multiplies the selected
+    rows in order to check that the product's sign matches ``p.sign``.
     """
     if p.n != code.n:
         raise ValueError(f"operator acts on {p.n} qubits, code has {code.n}")
     combination = code._elim.solve(_pack(p))
     if combination is None:
         return False
-    return _replay(code, combination).sign == p.sign
+    # As in pauli.multiply, each row flips the sign once per qubit where a
+    # Z-type factor of the product so far passes an X-type factor of the row.
+    product = flips = 0
+    for row in code._packed:
+        if combination & 1:
+            flips += ((product >> code.n) & row).bit_count()
+            product ^= row
+        combination >>= 1
+    return (-1 if flips & 1 else 1) == p.sign

@@ -381,6 +381,16 @@ def same_group(first: StabilizerCode, second: StabilizerCode) -> bool:
     )
 
 
+def generator_product(code: StabilizerCode, mask: int) -> PauliOperator:
+    """Sign-exact product of the generators selected by ``mask``, bit i for
+    row i + 1: a ``multiply`` fold over ``code.generators`` in row order."""
+    product = identity(code.n)
+    for i, g in enumerate(code.generators):
+        if mask >> i & 1:
+            product = multiply(product, g)
+    return product
+
+
 def _in_signed_group(code: StabilizerCode, p: PauliOperator) -> bool:
     negated = PauliOperator(p.n, p.x, p.z, -p.sign)
     return contains(code, p) or contains(code, negated)

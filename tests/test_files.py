@@ -9,7 +9,7 @@ import pytest
 from qpaste.catalog import builtin, hamming_class, perfect
 from qpaste.cli import main
 from qpaste.files import StabilizerFileError, dumps, loads
-from qpaste.pauli import PauliOperator, identity, parse_pauli
+from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli
 from qpaste.pasting import augment
 from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import check_code, verify_distance3
@@ -122,6 +122,7 @@ def _assert_same_code(code: StabilizerCode, ref: StabilizerCode) -> None:
     assert "generators" not in vars(code)
     assert code.generators == ref.generators
     assert dumps(code) == dumps(ref)
+    assert dumps(code) == "".join(format_pauli(g) + "\n" for g in code.generators)
 
 
 def test_loads_matches_codes_built_from_operators():
@@ -187,14 +188,16 @@ def test_generators_are_built_once_on_first_read():
 
 @pytest.mark.parametrize("read_first", [False, True])
 def test_loaded_code_survives_a_pickle_round_trip(read_first):
-    code = loads(dumps(perfect(3)))
-    if read_first:
-        code.generators
-    copy = pickle.loads(pickle.dumps(code))
-    assert ("generators" in vars(copy)) == read_first
-    assert copy == code and hash(copy) == hash(code)
-    assert copy.generators == code.generators == perfect(3).generators
-    assert verify_distance3(copy) == verify_distance3(code)
+    # A code built from operators keeps only their packed rows too.
+    for code in (loads(dumps(perfect(3))), StabilizerCode(perfect(3).generators)):
+        assert "generators" not in vars(code)
+        if read_first:
+            code.generators
+        copy = pickle.loads(pickle.dumps(code))
+        assert ("generators" in vars(copy)) == read_first
+        assert copy == code and hash(copy) == hash(code)
+        assert copy.generators == code.generators == perfect(3).generators
+        assert verify_distance3(copy) == verify_distance3(code)
 
 
 def test_loaded_code_equals_the_code_of_its_generators():

@@ -94,6 +94,14 @@ def test_codewords_empty_generator_code():
     assert np.allclose(basis @ basis.T, np.eye(2))
 
 
+def test_kl_empty_generator_code():
+    # With no generators every state is a codeword, and every product of two
+    # distinct errors moves one codeword onto another: C is the identity.
+    report = kl_check(StabilizerCode((), 3), enumerate_errors(3, 1))
+    assert (report.passed, report.rank, report.max_deviation) == (False, 10, 1.0)
+    assert (report.c_matrix == np.eye(10)).all()
+
+
 def _refuse_to_build(monkeypatch):
     # The first step after the limit check; reaching it means building.
     def built(code):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from qpaste.catalog import builtin, hamming_class
-from qpaste.files import dumps
+from qpaste.catalog import builtin, hamming_class, perfect
+from qpaste.files import dumps, loads
 from qpaste.pauli import (
     PauliOperator,
     format_pauli,
@@ -286,3 +286,33 @@ def test_closure_property_samples():
 def test_paste_accepts_plain_codes_for_both_sides():
     out = paste(hamming_class(4), shuffled_qubits(random.Random(53), builtin("code5")))
     assert (out.n, out.a) == (21, 6)
+
+
+def test_paste_catalog_and_dumps_build_no_operator_per_row(monkeypatch):
+    # Codes are rows: a paste builds only locate_xz_generators' two membership
+    # probes, and a constructed family member or a written code builds none.
+    code8, code5 = loads(dumps(builtin("code8"))), loads(dumps(builtin("code5")))
+    g = hamming_class(4).generators
+    # Rows 1 and 2 swapped: paste recombines them before it extends the rest.
+    swapped = StabilizerCode((g[1], g[0]) + g[2:])
+    expected = perfect(2)
+    built = []
+    post_init = PauliOperator.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PauliOperator, "__post_init__", counted)
+    pasted = paste(augment(code8, 1), code5)
+    assert len(built) <= 2
+    built.clear()
+    recombined = paste(swapped, code5)
+    assert len(built) <= 2
+    built.clear()
+    family = hamming_class(5, mixer=[0b00010, 0b00100, 0b01000, 0b10000, 0b00101])
+    for code in (pasted, recombined, family):
+        dumps(code)
+    assert built == []
+    monkeypatch.undo()
+    assert pasted == builtin("code13") and recombined == expected

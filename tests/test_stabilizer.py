@@ -15,7 +15,9 @@ from qpaste.stabilizer import StabilizerCode, contains, validate
 from helpers import (
     Syndrome,
     char_syndrome,
+    generator_product,
     random_pauli,
+    random_valid_code,
     reference_violations,
     same_group,
     syndrome,
@@ -218,6 +220,23 @@ def test_contains_rejects_random_outsiders():
         p = random_pauli(rng, 8)
         if not syndrome(code, p).is_zero:
             assert not contains(code, p)
+
+
+def test_contains_sign_matches_a_multiply_fold():
+    # contains reads the product's sign off the packed rows: every product
+    # of a valid code's generators is a member with the sign a multiply
+    # fold gives it, and its negative is not.
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(60):
+        a = rng.randint(1, 8)
+        code = random_valid_code(rng, rng.randint(max(a, 2), a + 4), a)
+        for mask in range(1 << a):
+            product = generator_product(code, mask)
+            negated = PauliOperator(product.n, product.x, product.z, -product.sign)
+            assert contains(code, product) and not contains(code, negated)
+            seen.add(product.sign)
+    assert seen == {1, -1}
 
 
 def test_bit_exact_equality():
