@@ -14,8 +14,6 @@ from .pauli import (
     identity,
     multiply,
     parse_pauli,
-    tensor,
-    y_count,
 )
 from .stabilizer import (
     InvalidCodeError,
@@ -64,8 +62,6 @@ __all__ = [
     "identity",
     "multiply",
     "parse_pauli",
-    "tensor",
-    "y_count",
     "InvalidCodeError",
     "StabilizerCode",
     "ValidationReport",

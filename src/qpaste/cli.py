@@ -37,6 +37,8 @@ def _read_text(path: str) -> str:
     # rejects with a line number.  A text-only stream (no .buffer) is read as text.
     if path != "-":
         return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    if sys.stdin is None:
+        raise OSError("standard input is closed")
     buffer = getattr(sys.stdin, "buffer", None)
     if buffer is None:
         return sys.stdin.read()
@@ -45,6 +47,8 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)

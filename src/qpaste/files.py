@@ -1,6 +1,8 @@
 """Line-oriented stabilizer file format.
 
 One generator per line in Pauli text form, all lines the same length.
+A line ends at LF, CR LF or CR, the line ends ``Path.read_text`` reads;
+any other line-break character inside a row is an invalid character.
 Blank lines and lines starting with '#' are ignored, as is one UTF-8
 byte-order mark before the first line.  A line of all 'I' is accepted
 as a placeholder row: a template for pasting is a code whose identity
@@ -24,10 +26,12 @@ def loads(text: str) -> StabilizerCode:
     generators from those rows only when they are read.
     """
     text = text.removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows = []
     n = None
     first_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -131,17 +131,3 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     sign = p.sign * q.sign * (-1 if flips else 1)
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, sign)
 
-
-def y_count(p: PauliOperator) -> int:
-    """Number of qubits carrying a Y factor."""
-    return (p.x & p.z).bit_count()
-
-
-def tensor(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Concatenate two operators on disjoint qubits, p first."""
-    return PauliOperator(
-        p.n + q.n,
-        p.x | (q.x << p.n),
-        p.z | (q.z << p.n),
-        p.sign * q.sign,
-    )

@@ -322,6 +322,15 @@ def repeat_qubit(code: StabilizerCode, q: int) -> StabilizerCode:
     return StabilizerCode(rows, n + 1)
 
 
+def direct_sum(left: StabilizerCode, right: StabilizerCode) -> StabilizerCode:
+    """Two codes side by side on left.n + right.n qubits: left's rows on the
+    first left.n qubits, then right's rows on the rest."""
+    n = left.n + right.n
+    rows = [PauliOperator(n, g.x, g.z) for g in left.generators]
+    rows += [PauliOperator(n, g.x << left.n, g.z << left.n) for g in right.generators]
+    return StabilizerCode(rows, n)
+
+
 def degenerate_code6() -> StabilizerCode:
     return repeat_qubit(builtin("code5"), 0)
 

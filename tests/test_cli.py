@@ -411,6 +411,36 @@ def test_stdin_is_decoded_as_a_file_is(encoding, monkeypatch, capsys, tmp_path):
     assert (main(["verify", "-"]), *capsys.readouterr()) == expected
 
 
+@pytest.mark.parametrize(
+    "stream, argv, message",
+    [
+        ("stdin", ["verify", "-"], "standard input is closed"),
+        ("stdout", ["catalog", "code5"], "standard output is closed"),
+    ],
+    ids=["stdin", "stdout"],
+)
+def test_closed_standard_stream_is_an_io_error(stream, argv, message, monkeypatch, capsys):
+    # Python sets the stream to None when its descriptor was closed at start-up.
+    monkeypatch.setattr(sys, stream, None)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ('"$0" -m qpaste verify - <&-', "standard input is closed"),
+        ('"$0" -m qpaste catalog code5 >&-', "standard output is closed"),
+    ],
+    ids=["stdin", "stdout"],
+)
+def test_closed_standard_stream_in_a_process(command, message):
+    result = subprocess.run(
+        ["sh", "-c", command, sys.executable], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (3, f"error: {message}\n")
+
+
 def test_pipe_family_perfect_into_verify():
     # family perfect 2 | verify -  (through real processes)
     emit = subprocess.run(

@@ -28,6 +28,8 @@ TEXTS = {
     "zz": "ZZ\n",
     "xx_xx": "XX\nXX\n",
     "malformed": "XXXX\nZZQZ\n",
+    # A vertical tab is no line end: code5's first two rows make one bad row.
+    "vertical_tab": "XXZIZ\vZXXZI\nIZXXZ\nZIZXX\n",
     "padded": "XXXX\nIIII\nZZZZ\n",
     # Paste operands, one failed precondition each, next to code5 or code8.
     "code8_extra_row": "XXXXXXXX\nZZZZZZZZ\nXIXIZYZY\nXIYZXIYZ\nXZIYIYXZ\nZIIIIIII\n",
@@ -192,6 +194,8 @@ CORPUS = [
      "cb56d83bb4ca081fb687704d6dfdc336af06d97a00d2df0f724f6af2271aabca", EMPTY),
     (("verify", "-"), ("text", "malformed"), 3,
      EMPTY, "2ac354c7d49d91dc7a6dcc009b2e7cb187062d963e51cbc1ef8b617e44ae32fa"),
+    (("verify", "-"), ("text", "vertical_tab"), 3,
+     EMPTY, "fbe585622f762ce923fed81e541014dbefca049207fbb9f5bd22898d7f834c0b"),
     (("verify", "-"), ("text", "padded"), 1,
      "f07f07263418a24657dd5257d7db11d5de6c415f096a66279b0b356cdba5a4ee",
      "094ad8a7a8bb28777b65ee8834655e87a128dd903ad70c8660bc1adda6ec6b6c"),

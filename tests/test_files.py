@@ -66,6 +66,28 @@ def test_only_one_leading_byte_order_mark_skipped():
         loads("\ufeff\ufeff" + dumps(builtin("code5")))
 
 
+# str.splitlines breaks at these too; a row ends only at LF, CR LF or CR.
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+def test_other_line_breaks_are_invalid_characters(char):
+    with pytest.raises(StabilizerFileError) as info:
+        loads(f"XXZIZ{char}ZXXZI\nIZXXZ\nZIZXX\n")
+    assert str(info.value) == f"line 1: invalid character {char!r} at position 6"
+    # The character's own line is named, not a line counted past it.
+    with pytest.raises(StabilizerFileError) as info:
+        loads(f"XXZIZ\nZXXZI{char}Q\nIZXXZ\nZIZXX\n")
+    assert str(info.value) == f"line 2: invalid character {char!r} at position 6"
+
+
+def test_line_numbers_count_lf_crlf_and_cr_alike():
+    with pytest.raises(StabilizerFileError, match="^line 4: invalid character 'Q'"):
+        loads("XXZIZ\r\nZXXZI\rIZXXZ\nZIZXQ\r\n")
+    with pytest.raises(StabilizerFileError, match="^line 3: invalid character 'Q'"):
+        loads("XXZIZ\r\rZXXQI\n")
+
+
 def test_signed_row_rejected():
     with pytest.raises(StabilizerFileError, match="minus"):
         loads("XXZIZ\n-ZXXZI\n")
@@ -107,7 +129,7 @@ def _random_text(rng: random.Random, rows: list[str]) -> str:
             lines.append(rng.choice(["# a comment", "#IXYZ", "", "   ", "\t"]))
         pad = rng.choice(["", "", " ", "\t"])
         lines.append(pad + rng.choice(["", "+"]) + row + pad)
-    ends = [rng.choice(["\n", "\r\n"]) for _ in lines]
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
     return rng.choice(["", "\ufeff"]) + "".join(a + b for a, b in zip(lines, ends))
 
 

@@ -7,13 +7,14 @@ import pytest
 import qpaste.kl as kl
 from qpaste.catalog import builtin, hamming_class, perfect
 from qpaste.kl import CapExceededError, _columns, _signed_permutations, kl_check
-from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors, verify_distance3
 
 from helpers import (
     degenerate_code6,
     dense,
+    direct_sum,
     random_valid_code,
     scattered_codewords,
     shor_code9,
@@ -132,7 +133,7 @@ def test_limit_that_admits_nothing_refuses_first(monkeypatch, limit):
 
 
 def _code5_on(n):
-    return StabilizerCode([tensor(g, identity(n - 5)) for g in builtin("code5").generators])
+    return direct_sum(builtin("code5"), StabilizerCode([], n - 5))
 
 
 @pytest.mark.parametrize(
@@ -410,10 +411,7 @@ def test_minus_group_excusal_agrees_with_kl(beside_code5):
     # adjoint(YI).IY = -YY lies in -S: YI and IY act alike on the codespace.
     code = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
     if beside_code5:
-        five = builtin("code5")
-        rows = [tensor(g, identity(2)) for g in five.generators]
-        rows += [tensor(identity(5), g) for g in code.generators]
-        code = StabilizerCode(rows)
+        code = direct_sum(builtin("code5"), code)
     kl = kl_check(code, enumerate_errors(code.n, 1))
     assert_exact(kl)
     assert not kl.full_rank

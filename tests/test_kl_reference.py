@@ -8,7 +8,7 @@ import pytest
 from qpaste import gf2, kl
 from qpaste.catalog import builtin
 from qpaste.kl import _sparse_codewords, kl_check
-from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, format_pauli, identity, parse_pauli
 from qpaste.stabilizer import StabilizerCode
 from qpaste.verification import enumerate_errors
 
@@ -16,6 +16,7 @@ from helpers import (
     anticommutes,
     degenerate_code6,
     dense,
+    direct_sum,
     random_valid_code,
     reference_codewords,
     reference_kl_check,
@@ -25,12 +26,8 @@ from helpers import (
 
 
 def _xx_zz(beside_code5: bool) -> StabilizerCode:
-    pair = [parse_pauli("XX"), parse_pauli("ZZ")]
-    if not beside_code5:
-        return StabilizerCode(pair)
-    rows = [tensor(g, identity(2)) for g in builtin("code5").generators]
-    rows += [tensor(identity(5), g) for g in pair]
-    return StabilizerCode(rows)
+    pair = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
+    return direct_sum(builtin("code5"), pair) if beside_code5 else pair
 
 
 def _random_codes() -> list[tuple[str, StabilizerCode]]:

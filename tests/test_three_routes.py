@@ -16,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from qpaste.catalog import builtin, hamming_class
 from qpaste.kl import kl_check
-from qpaste.pauli import PauliOperator, identity, parse_pauli, tensor
+from qpaste.pauli import PauliOperator, parse_pauli
 from qpaste.stabilizer import StabilizerCode, validate
 from qpaste.verification import distance, enumerate_errors, verify_distance3
 
 from helpers import (
     ReferenceEliminator,
     degenerate_code6,
+    direct_sum,
     random_valid_code,
     reed_muller_code,
     reference_distance,
@@ -35,17 +36,11 @@ from helpers import (
 XX_ZZ = StabilizerCode([parse_pauli("XX"), parse_pauli("ZZ")])
 
 
-def _beside(left: StabilizerCode, right: StabilizerCode) -> StabilizerCode:
-    rows = [tensor(g, identity(right.n)) for g in left.generators]
-    rows += [tensor(identity(left.n), g) for g in right.generators]
-    return StabilizerCode(rows, left.n + right.n)
-
-
 PASSING = (
     builtin("code5"),
     degenerate_code6(),
     XX_ZZ,
-    _beside(builtin("code5"), XX_ZZ),
+    direct_sum(builtin("code5"), XX_ZZ),
     shor_code9(),
     hamming_class(3),
     repeat_qubit(builtin("code8"), 0),
@@ -61,7 +56,7 @@ def small_codes(draw) -> StabilizerCode:
     if kind == "repeat" and n >= 2:
         return repeat_qubit(random_valid_code(rng, n - 1, a - 1), rng.randrange(n - 1))
     if kind == "pair" and n >= 3 and a >= 2:
-        return _beside(random_valid_code(rng, n - 2, a - 2), XX_ZZ)
+        return direct_sum(random_valid_code(rng, n - 2, a - 2), XX_ZZ)
     if kind == "passing":
         return shuffled_qubits(rng, draw(st.sampled_from(PASSING)))
     return random_valid_code(rng, n, a)
