@@ -56,21 +56,7 @@ _BUILTINS = {
     "code13": (_CODE13_ROWS, (13, 6)),
 }
 
-# One primitive polynomial per degree, coefficients as a bitmask including
-# the leading term (e.g. degree 4: x^4 + x + 1 -> 0b10011).  Fixed so the
-# constructed codes are identical across runs and platforms.
-_PRIMITIVE_POLY = {
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10000011,
-    8: 0b100011101,
-    9: 0b1000010001,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000001010011,
-}
+_MAX_DEGREE = 20  # n = 2^20 qubits; perfect(10), n = 1,398,101, is the last perfect code
 
 
 def _shaped(code: StabilizerCode, n: int, a: int, context: str) -> StabilizerCode:
@@ -104,19 +90,30 @@ def _builtin(name: str) -> StabilizerCode:
     return _checked(code, n, a, name)
 
 
+def _smallest_primitive_poly(m: int) -> int:
+    """The smallest primitive polynomial of degree m as a bitmask (x^4 + x + 1 -> 0b10011):
+    the first odd one modulo which x, a unit, returns to 1 after 2^m - 1 powers."""
+    poly, order = (1 << m) - 1, 0
+    while order != (1 << m) - 1:
+        poly, power, order = poly + 2, 2, 1
+        while power != 1:
+            power <<= 1
+            if power >> m:
+                power ^= poly
+            order += 1
+    return poly
+
+
 def _mixer_columns(m: int, mixer: Sequence[int] | None) -> list[int]:
     """L's m columns: column c is the image of the label with only bit c set.
 
     They are the images of 1, x, ..., x^(m-1) under multiplication by x
-    modulo the fixed polynomial, or the columns of explicit matrix rows,
+    modulo the default polynomial, or the columns of explicit matrix rows,
     whose bits at and above m are ignored.
     """
     if mixer is None:
-        poly = _PRIMITIVE_POLY.get(m)
-        if poly is None:
-            raise ValueError(f"no default mixing polynomial for degree {m}")
         # x * x^(m-1) = x^m, which the polynomial reduces to its lower terms.
-        return [1 << (c + 1) for c in range(m - 1)] + [poly ^ (1 << m)]
+        return [1 << (c + 1) for c in range(m - 1)] + [_smallest_primitive_poly(m) ^ (1 << m)]
     rows = list(mixer)
     if len(rows) != m:
         raise ValueError(f"mixer needs {m} rows, got {len(rows)}")
@@ -124,7 +121,7 @@ def _mixer_columns(m: int, mixer: Sequence[int] | None) -> list[int]:
 
 
 def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
-    """The n = 2^m code with m + 2 generators (k = n - m - 2), m >= 3.
+    """The n = 2^m code with m + 2 generators (k = n - m - 2), 3 <= m <= 20.
 
     Qubits are labeled by the m-bit vectors v in integer order.  Rows 1
     and 2 are the all-X and all-Z products; row 2+r puts a z bit where
@@ -138,7 +135,7 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
     is the sum of v_c over the columns c with L[r][c] = 1, its x part is
     the XOR of the z parts of rows 2+c for those c.
 
-    The default L is multiplication by x modulo a fixed primitive
+    The default L is multiplication by x modulo the smallest primitive
     polynomial of degree m; pass ``mixer`` (m row bitmasks) to use another
     matrix.  For m = 3 with the default mixer the builtin 8-qubit code is
     returned so the pasted 13-qubit reproduction stays anchored to it.
@@ -146,6 +143,8 @@ def hamming_class(m: int, mixer: Sequence[int] | None = None) -> StabilizerCode:
     """
     if m < 3:
         raise ValueError(f"m={m} rejected: k = n - m - 2 would not be positive")
+    if m > _MAX_DEGREE:
+        raise ValueError(f"m={m} rejected: the n = 2^m family stops at m={_MAX_DEGREE}")
     if mixer is None:
         return _default_hamming_class(m)
     return _build_hamming_class(m, _mixer_columns(m, mixer))

@@ -54,8 +54,23 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _say(line: str) -> None:
+    """One line of a report on standard output, refused if the stream is closed."""
+    _write_text("-", f"{line}\n")
+
+
+def _note(line: str) -> None:
+    """One line on standard error, dropped if the stream is closed or fails,
+    so the exit code stays the command's own."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"{line}\n")
+        except OSError:
+            pass
+
+
 def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    _note(f"error: {message}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -67,14 +82,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "placeholders are only valid as paste input (add them with "
             "`paste --augment` instead)"
         )
-        print("result: fail")
+        _say("result: fail")
         return EXIT_VERIFY
-    print(f"n={code.n} a={code.a} k={code.n - code.a}")
+    _say(f"n={code.n} a={code.a} k={code.n - code.a}")
     ok = True
     for line, passed in check_code(code, args.distance, args.kl):
-        print(line)
+        _say(line)
         ok = ok and passed
-    print(f"result: {'pass' if ok else 'fail'}")
+    _say(f"result: {'pass' if ok else 'fail'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -86,7 +101,7 @@ def cmd_paste(args: argparse.Namespace) -> int:
     result = paste(larger, smaller)
     _write_text(args.out, files.dumps(result))
     k = result.n - result.a
-    print(f"pasted: n={result.n} a={result.a} k={k}", file=sys.stderr)
+    _note(f"pasted: n={result.n} a={result.a} k={k}")
     return EXIT_OK
 
 
@@ -109,9 +124,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.k is None:
         k = best_k(n)
         if k is None:
-            print(f"best k = none (no k satisfies the bound for n={n})")
+            _say(f"best k = none (no k satisfies the bound for n={n})")
         else:
-            print(f"best k = {k} ({_perfect_tag(hamming_bound(n, k))})")
+            _say(f"best k = {k} ({_perfect_tag(hamming_bound(n, k))})")
         return EXIT_OK
     status = hamming_bound(n, args.k)
     tag = _perfect_tag(status)
@@ -120,9 +135,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         lhs = (3 * n + 1) << args.k
         rhs = 1 << n
         if max(lhs, rhs) < _DECIMAL_LIMIT:
-            print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
+            _say(f"{status} ({tag}): (3*{n}+1)*2^{args.k} = {lhs} vs 2^{n} = {rhs}")
             return EXIT_OK
-    print(f"{status} ({tag}): (3*{n}+1)*2^{args.k} vs 2^{n}")
+    _say(f"{status} ({tag}): (3*{n}+1)*2^{args.k} vs 2^{n}")
     return EXIT_OK
 
 
@@ -136,7 +151,7 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
         return EXIT_PRECONDITION
     for e, key in zip(enumerate_errors(code.n, 1), code._syndrome_keys):
         # Generator 1's bit first: the key's binary digits, reversed.
-        print(f"{format_pauli(e)} {format(key, f'0{code.a}b')[::-1]}")
+        _say(f"{format_pauli(e)} {format(key, f'0{code.a}b')[::-1]}")
     return EXIT_OK
 
 
@@ -193,7 +208,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_family = sub.add_parser("family", help="emit a constructed family member")
     fam = p_family.add_subparsers(dest="kind", required=True)
-    p_hamming = fam.add_parser("hamming", help="the n=2^m family (m >= 3)")
+    p_hamming = fam.add_parser("hamming", help="the n=2^m family (3 <= m <= 20)")
     p_hamming.add_argument("m", type=int)
     p_hamming.add_argument("--out", default="-")
     p_hamming.set_defaults(func=cmd_family)
@@ -205,8 +220,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         type=int,
         default=4,
         help=(
-            "largest J accepted (default 4, n=341); J <= 6 is the hard cap "
-            "set by the degree-12 polynomial table"
+            "largest J accepted (default 4, n=341); J <= 10 is the hard cap, "
+            "set by the n = 2^m family's limit m <= 20"
         ),
     )
     p_perfect.add_argument("--out", default="-")
@@ -250,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except PasteError as exc:
         _fail(str(exc))
         for check in exc.diagnostics.checks:
-            print(f"check {check}", file=sys.stderr)
+            _note(f"check {check}")
         return EXIT_PRECONDITION
     except PasteVerificationError as exc:
         _fail(f"internal: {exc}")

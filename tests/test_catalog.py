@@ -154,6 +154,10 @@ HAMMING_SHA256 = {
     10: "8237c4bd9660ac1bb19cd4eb97bc145e2800218d4420180f0aba152c95939325",
     11: "a4565f6f8e24f0a8bc88d6e017921cb623c4144fb1c3919d88e7a797274b453f",
     12: "feef1e856a017ca84069969f629268b36ffa132a035cf0169b1ed53b88d5f596",
+    13: "7c0227e977c9c6da85822d9702f2210590b9121f053bd2d54ca51ed8b9ac900e",
+    14: "f0bffefa586f91de1893de52c23f4707bf1bef4ef84c00684ee81ee78b379be6",
+    15: "958b5a684ad7fb1851fd4ff0b7bdb84d60fa220b459af44e3df8e9df1d14ab93",
+    16: "858b6808613e467eb39e14d31dcc26d78568976cb849647fd6a2f7287164f6a8",
 }
 PERFECT_SHA256 = {
     1: "0024361ee5ac092ff1d514e3c87400d51bf2578d275e17daabe657c13cb4bc1d",
@@ -162,6 +166,8 @@ PERFECT_SHA256 = {
     4: "a4c58b783486a6b97eb8173ac4dd566089ee787eecfbdd757e7008400f55524f",
     5: "72e6a36f149e0da06b9f5072b2d962376ac455f3d35b70885bcd1caf75e9f7ab",
     6: "2623119a0c179051625b8d4945be340a73b1a45e4a0b78f80c60d41aba92112d",
+    7: "fe6dfd414643a8d789801440e088fbd2dd73ac23e8f142b76146b20527b0067d",
+    8: "b6451b56754850f5675cee12b3cc61e81fa47c33d0e45af2c9c1e172237e56b6",
 }
 
 
@@ -176,7 +182,100 @@ def test_hamming_class_golden(m):
 
 @pytest.mark.parametrize("j", sorted(PERFECT_SHA256))
 def test_perfect_golden(j):
-    assert _sha256(perfect(j, j_max=6)) == PERFECT_SHA256[j]
+    assert _sha256(perfect(j, j_max=j)) == PERFECT_SHA256[j]
+
+
+# The table the default polynomials were once copied from, kept as an oracle:
+# coefficients as a bitmask including the leading term.
+OLD_PRIMITIVE_POLY = {
+    3: 0b1011,
+    4: 0b10011,
+    5: 0b100101,
+    6: 0b1000011,
+    7: 0b10000011,
+    8: 0b100011101,
+    9: 0b1000010001,
+    10: 0b10000001001,
+    11: 0b100000000101,
+    12: 0b1000001010011,
+}
+NEW_PRIMITIVE_POLY = {13: 0x201B, 14: 0x402B, 15: 0x8003, 16: 0x1002D}
+
+
+def _mul_mod(a: int, b: int, poly: int, m: int) -> int:
+    """a * b modulo poly, a and b of degree below m."""
+    product = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            product ^= a << i
+    for i in range(product.bit_length() - 1, m - 1, -1):
+        if product >> i & 1:
+            product ^= poly << (i - m)
+    return product
+
+
+def _x_power(e: int, poly: int, m: int) -> int:
+    """x^e modulo poly, by squaring and multiplying."""
+    result, square = 1, 2
+    while e:
+        if e & 1:
+            result = _mul_mod(result, square, poly, m)
+        square = _mul_mod(square, square, poly, m)
+        e >>= 1
+    return result
+
+
+def _is_primitive(poly: int, m: int) -> bool:
+    """x has order exactly 2^m - 1: x^(2^m-1) = 1, and x^((2^m-1)/p) != 1
+    for every prime p dividing 2^m - 1."""
+    order = (1 << m) - 1
+    primes, rest, p = [], order, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return _x_power(order, poly, m) == 1 and all(
+        _x_power(order // p, poly, m) != 1 for p in primes
+    )
+
+
+def test_derived_polynomials_match_the_old_table():
+    for m, poly in OLD_PRIMITIVE_POLY.items():
+        assert catalog._smallest_primitive_poly(m) == poly
+
+
+def test_derived_polynomials_past_the_old_table():
+    for m, poly in NEW_PRIMITIVE_POLY.items():
+        assert catalog._smallest_primitive_poly(m) == poly
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_derived_polynomial_is_the_smallest_primitive_one(m):
+    # An independent search: odd candidates in increasing order, each tested
+    # against the prime factors of 2^m - 1.
+    first = next(p for p in range((1 << m) | 1, 2 << m, 2) if _is_primitive(p, m))
+    assert catalog._smallest_primitive_poly(m) == first
+
+
+@pytest.mark.parametrize("m", [21, 40])
+def test_hamming_class_refused_past_the_limit(m):
+    message = rf"^m={m} rejected: the n = 2\^m family stops at m=20$"
+    with pytest.raises(ValueError, match=message):
+        hamming_class(m)
+    with pytest.raises(ValueError, match=message):
+        hamming_class(m, mixer=random_mixer(random.Random(m), m))
+
+
+def test_perfect_past_the_limit_is_refused_before_its_smaller_code_is_built():
+    # perfect(11) pastes onto hamming_class(22), which is refused before
+    # the 1,398,101-qubit perfect(10) is built.
+    before = catalog._perfect.cache_info()
+    with pytest.raises(ValueError, match=r"^m=22 rejected: .* stops at m=20$"):
+        perfect(11, j_max=11)
+    after = catalog._perfect.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
 
 
 @pytest.mark.parametrize("m", range(3, 11))

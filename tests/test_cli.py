@@ -352,9 +352,21 @@ def test_verify_kl_passes_degenerate_codes(text, kind, line, tmp_path, capsys):
     assert out.endswith("result: pass\n")
 
 
-def test_family_hamming_without_default_polynomial(capsys):
-    assert main(["family", "hamming", "13"]) == 2
-    assert capsys.readouterr().err == "error: no default mixing polynomial for degree 13\n"
+@pytest.mark.parametrize("m", [21, 40])
+def test_family_hamming_refused_past_the_limit(m, capsys):
+    assert main(["family", "hamming", str(m)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: m={m} rejected: the n = 2^m family stops at m=20\n",
+    )
+
+
+def test_family_perfect_refused_past_the_limit(capsys):
+    assert main(["family", "perfect", "11", "--max-j", "11"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: m=22 rejected: the n = 2^m family stops at m=20\n",
+    )
 
 
 def test_unknown_subcommand():
@@ -439,6 +451,82 @@ def test_closed_standard_stream_in_a_process(command, message):
         ["sh", "-c", command, sys.executable], capture_output=True, text=True
     )
     assert (result.returncode, result.stderr) == (3, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "code5"],
+        ["verify", "code5", "--distance"],
+        ["bound", "13"],
+        ["bound", "21", "15"],
+        ["syndromes", "code5"],
+    ],
+    ids=" ".join,
+)
+def test_closed_standard_output_refuses_every_report(argv, stab_files, monkeypatch, capsys):
+    # print() to a closed (None) stdout would do nothing and exit 0.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([stab_files.get(word, word) for word in argv]) == 3
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        '"$0" -m qpaste catalog code5 | "$0" -m qpaste verify - >&-',
+        '"$0" -m qpaste bound 13 >&-',
+        '"$0" -m qpaste catalog code5 | "$0" -m qpaste syndromes - >&-',
+    ],
+    ids=["verify", "bound", "syndromes"],
+)
+def test_closed_standard_output_refuses_every_report_in_a_process(command):
+    result = subprocess.run(
+        ["sh", "-c", command, sys.executable], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (3, "error: standard output is closed\n")
+
+
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["none", "failing"])
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["paste", "code5", "code5"], 2),  # error line and check lines
+        (["verify", "missing.stab"], 3),
+        (["family", "hamming", "21"], 2),
+    ],
+    ids=["paste", "missing", "limit"],
+)
+def test_closed_standard_error_keeps_the_exit_code(argv, status, stderr, stab_files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main([stab_files.get(word, word) for word in argv]) == status
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["none", "failing"])
+def test_closed_standard_error_keeps_the_pasted_code(stderr, stab_files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["paste", stab_files["code8"], stab_files["code5"], "--augment", "1"]) == 0
+    assert capsys.readouterr().out == dumps(builtin("code13"))
+
+
+@pytest.mark.parametrize(
+    "command, status",
+    [('"$0" -m qpaste paste "$1" "$1" 2>&-', 2), ('"$0" -m qpaste verify "$1.missing" 2>&-', 3)],
+    ids=["paste", "missing"],
+)
+def test_closed_standard_error_in_a_process(command, status, stab_files):
+    result = subprocess.run(
+        ["sh", "-c", command, sys.executable, stab_files["code5"]],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (status, "")
 
 
 def test_pipe_family_perfect_into_verify():

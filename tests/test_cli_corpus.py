@@ -228,8 +228,10 @@ CORPUS = [
      "d4b25dfb0d4c92c03fb7ec0ecdb59e7219df5f7e43bd15a0faf02cdb5ae55830", EMPTY),
     (("bound", "20000", "19980"), None, 0,
      "21fe57e0a40e52ff246dda77bf141c52f9dc8843d38f7432c6fc2e6a75f9e904", EMPTY),
-    (("family", "hamming", "13"), None, 2,
-     EMPTY, "2a59f893e5f3087396fc423bc4e547c89e1ad8e57e5af1efc347b95ed32dde1f"),
+    (("family", "hamming", "13"), None, 0,
+     "7c0227e977c9c6da85822d9702f2210590b9121f053bd2d54ca51ed8b9ac900e", EMPTY),
+    (("family", "hamming", "21"), None, 2,
+     EMPTY, "22eb637df85a4730724ce25e87771826b6f52c4f7d78c101039fa1795fbd54a0"),
 ]
 
 
