@@ -9,16 +9,19 @@ input/output.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
-from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import files
 from .catalog import _BUILTINS, builtin, hamming_class, perfect
 from .pasting import PasteError, PasteVerificationError, _placeholders, augment, paste
 from .pauli import format_pauli
 from .verification import _perfect_tag, best_k, check_code, enumerate_errors, hamming_bound
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,7 +39,8 @@ def _read_text(path: str) -> str:
     # UTF-8, with undecodable bytes kept as lone surrogates that the parser
     # rejects with a line number.  A text-only stream (no .buffer) is read as text.
     if path != "-":
-        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        with open(path, encoding="utf-8", errors="surrogateescape") as file:
+            return file.read()
     if sys.stdin is None:
         raise OSError("standard input is closed")
     buffer = getattr(sys.stdin, "buffer", None)
@@ -51,7 +55,8 @@ def _write_text(path: str, text: str) -> None:
             raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as file:
+            file.write(text)
 
 
 def _say(line: str) -> None:
@@ -157,14 +162,25 @@ def cmd_syndromes(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged
-    and writes help and usage errors to the streams current at that call."""
+    and writes help and usage errors to the streams current at that call.
+    Help with standard output closed raises ``OSError``, as a report does."""
     return _parsers()[0]
 
 
 @cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its command parsers by name, one tree."""
-    parser = argparse.ArgumentParser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # Help is a report: refused, as every report is, if stdout is closed.
+            if file is None:
+                _write_text("-", self.format_help())
+            else:
+                super().print_help(file)
+
+    parser = Parser(
         prog="qpaste",
         description="Verify, paste and generate one-error stabilizer codes.",
     )
@@ -240,9 +256,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` without ``command``, in one argparse
-    pass when ``argv`` starts with a command's exact name."""
+def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """``build_parser().parse_args(argv)`` without ``command``.  A plain
+    ``verify FILE`` or ``syndromes FILE`` is bound without argparse; any other
+    ``argv`` takes one argparse pass when it starts with a command's exact name."""
+    if len(argv) == 2 and (argv[1] == "-" or not argv[1].startswith("-")):
+        if argv[0] == "verify":
+            return SimpleNamespace(file=argv[1], distance=None, kl=False, func=cmd_verify)
+        if argv[0] == "syndromes":
+            return SimpleNamespace(file=argv[1], func=cmd_syndromes)
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         args, extra = commands[argv[0]].parse_known_args(argv[1:])
@@ -255,10 +277,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (files.StabilizerFileError, OSError) as exc:
         _fail(str(exc))
         return EXIT_IO

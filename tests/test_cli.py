@@ -1,11 +1,13 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+import qpaste
 import qpaste.cli
 from qpaste.catalog import builtin, perfect
 from qpaste.cli import main
@@ -461,6 +463,8 @@ def test_closed_standard_stream_in_a_process(command, message):
         ["bound", "13"],
         ["bound", "21", "15"],
         ["syndromes", "code5"],
+        ["--help"],
+        ["verify", "--help"],
     ],
     ids=" ".join,
 )
@@ -471,14 +475,24 @@ def test_closed_standard_output_refuses_every_report(argv, stab_files, monkeypat
     assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_closed_standard_stream_keeps_a_usage_error(stream, monkeypatch, capsys):
+    monkeypatch.setattr(sys, stream, None)
+    assert main(["verify"]) == 2
+    if stream == "stdout":
+        assert capsys.readouterr().err.startswith("usage: qpaste verify")
+
+
 @pytest.mark.parametrize(
     "command",
     [
         '"$0" -m qpaste catalog code5 | "$0" -m qpaste verify - >&-',
         '"$0" -m qpaste bound 13 >&-',
         '"$0" -m qpaste catalog code5 | "$0" -m qpaste syndromes - >&-',
+        '"$0" -m qpaste --help >&-',
+        '"$0" -m qpaste verify --help >&-',
     ],
-    ids=["verify", "bound", "syndromes"],
+    ids=["verify", "bound", "syndromes", "help", "verify-help"],
 )
 def test_closed_standard_output_refuses_every_report_in_a_process(command):
     result = subprocess.run(
@@ -618,6 +632,14 @@ def test_each_call_writes_to_the_streams_of_that_call(capsys):
 # Each command's own parser against the whole tree: left-over arguments,
 # help, options of each parser and no or unknown commands.
 PARSE_MATRIX = [
+    ["verify", "-"],
+    ["verify", "code5"],
+    ["verify", ""],
+    ["verify", "-5"],
+    ["verify", "--"],
+    ["verify", "-", "-"],
+    ["syndromes", "-"],
+    ["syndromes", "-x"],
     ["verify", "--help"],
     ["verify"],
     ["verify", "-", "--distance", "x"],
@@ -648,7 +670,8 @@ def _run(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", PARSE_MATRIX, ids=" ".join)
-def test_one_pass_parse_matches_the_top_level_parse(argv, capsys, monkeypatch):
+def test_one_pass_parse_matches_the_top_level_parse(argv, stab_files, capsys, monkeypatch):
+    argv = [stab_files.get(word, word) for word in argv]
     got = _run(argv, capsys, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(qpaste.cli, "_parse", _top_level_parse)
@@ -662,3 +685,45 @@ def test_one_pass_parse_matches_the_top_level_parse(argv, capsys, monkeypatch):
     else:
         whole.pop("command")
         assert vars(qpaste.cli._parse(argv)) == whole
+
+
+def test_an_io_error_names_the_path_as_typed(capsys):
+    assert main(["verify", ""]) == 3
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["verify", "code5"], False),
+        (["verify", "-"], False),
+        (["syndromes", "code5"], False),
+        (["verify", "code5", "--kl"], True),
+        (["--help"], True),
+        (["verify"], True),
+    ],
+    ids=["verify FILE", "verify -", "syndromes FILE", "verify FILE --kl", "--help", "verify"],
+)
+def test_plain_verify_and_syndromes_load_no_argparse(argv, parsed, stab_files):
+    import numpy
+
+    # No site module, so no .pth file imports pathlib; numpy's directory
+    # serves --kl.
+    path = [os.path.dirname(os.path.dirname(m.__file__)) for m in (qpaste, numpy)]
+    probe = (
+        "import sys; from qpaste import cli; "
+        "status = cli.main(sys.argv[1:]); "
+        "print(status, *sorted({'argparse', 'pathlib'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *[stab_files.get(word, word) for word in argv]],
+        input=dumps(builtin("code5")),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    status, *loaded = result.stdout.splitlines()[-1].split()
+    assert status == ("2" if argv == ["verify"] else "0"), result.stderr
+    assert ("argparse" in loaded) == parsed
+    if not parsed:
+        assert loaded == []
